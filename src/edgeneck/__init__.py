@@ -24,8 +24,8 @@ from .receptive_field import BRANCH_WIDTH, WideFieldBlock, receptive_extent
 from .tensor import (
     BACKWARD, ConvSpec, Parameter, Tape, Tensor, add, backward,
     channel_mean, concat_channels, conv2d, full, global_pool,
-    kaiming_uniform, linear, mul, ones, ones_like, relu, replicate_pad,
-    resample, sigmoid, slice_channels, sqrt, square, sum_all, tensor, zeros,
+    kaiming_uniform, mul, ones, ones_like, relu, replicate_pad, resample,
+    sigmoid, square, sum_all, tensor, zeros,
 )
 
 __version__ = "1.0.0"

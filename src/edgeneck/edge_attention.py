@@ -1,11 +1,12 @@
 """Edge-guided attention: fixed Sobel edge extraction plus a channel gate.
 
 The block sharpens the two finest backbone features.  Each feature is
-cross-correlated depthwise with the constant 3x3 Sobel pair, the per
-channel responses are averaged into one horizontal and one vertical
-derivative map, and the Euclidean magnitude of the pair multiplies the
-feature, channel-broadcast.  The second (stride-8) feature additionally
-passes through a channel-wise attention gate driven by globally pooled
+averaged over its channels and cross-correlated with the constant 3x3
+Sobel pair, giving one horizontal and one vertical derivative map (by
+linearity, the mean of the per-channel Sobel responses), and the
+Euclidean magnitude of the pair multiplies the feature,
+channel-broadcast.  The second (stride-8) feature additionally passes
+through a channel-wise attention gate driven by globally pooled
 descriptors through a shared two-layer bottleneck.
 """
 
@@ -15,9 +16,9 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
 from .tensor import (
-    BACKWARD, ConvSpec, Parameter, Tensor, _record, _result, add,
-    channel_mean, conv2d, global_pool, kaiming_uniform, linear, mul,
-    relu, replicate_pad, sigmoid, trace_branch,
+    BACKWARD, Parameter, Tensor, _record, _result, add, channel_mean,
+    conv2d, global_pool, kaiming_uniform, mul, relu, replicate_pad,
+    sigmoid, trace_branch,
 )
 
 # Horizontal-derivative kernel; the vertical one is its transpose.
@@ -27,31 +28,24 @@ SOBEL_X = ((1.0, 0.0, -1.0),
 SOBEL_Y = tuple(zip(*SOBEL_X))
 
 
-def sobel_kernels(channels, dtype):
-    """Depthwise weight tensors (C x 1 x 3 x 3) for the Sobel pair."""
-    gx = np.broadcast_to(np.asarray(SOBEL_X, dtype), (channels, 1, 3, 3)).copy()
-    gy = np.broadcast_to(np.asarray(SOBEL_Y, dtype), (channels, 1, 3, 3)).copy()
-    return Tensor(gx), Tensor(gy)
-
-
 def deep_sobel(x):
-    """Average depthwise Sobel responses into one map per direction.
+    """Sobel pair on the channel mean: one derivative map per direction.
 
-    Returns ``(grad_x, grad_y)``, each ``N x 1 x H x W``.  The kernels are
-    constants; gradient flows only to ``x``.  The one-pixel pad replicates
-    border values rather than inserting zeros: flat regions then produce
-    zero response everywhere, including at the image border, and adding a
-    constant offset to the input leaves the output unchanged.
+    Returns ``(grad_x, grad_y)``, each ``N x 1 x H x W``.  Sobel is
+    linear, so this equals the mean of the per-channel Sobel responses.
+    The kernels are constants; gradient flows only to ``x``.  The
+    one-pixel pad replicates border values rather than inserting zeros:
+    flat regions then produce zero response everywhere, including at the
+    image border, and adding a constant offset to the input leaves the
+    output unchanged.
     """
     n, c, h, w = x.dims
     if h < 1 or w < 1:
         raise DomainError(f"deep_sobel needs a non-empty spatial extent, got {h}x{w}")
-    kx, ky = sobel_kernels(c, x.dtype)
-    spec = ConvSpec(groups=c)
-    padded = replicate_pad(x)
-    gx = channel_mean(conv2d(padded, kx, spec=spec))
-    gy = channel_mean(conv2d(padded, ky, spec=spec))
-    return gx, gy
+    padded = replicate_pad(channel_mean(x))
+    kx = Tensor(np.asarray(SOBEL_X, x.dtype).reshape(1, 1, 3, 3))
+    ky = Tensor(np.asarray(SOBEL_Y, x.dtype).reshape(1, 1, 3, 3))
+    return conv2d(padded, kx), conv2d(padded, ky)
 
 
 def edge_magnitude(gx, gy):
@@ -101,8 +95,9 @@ class ChannelAttention:
     """Per-channel multiplicative gate in (0, 1) from pooled descriptors.
 
     scale = sigmoid(w1 relu(w0 avgpool(x)) + w1 relu(w0 maxpool(x))),
-    with one shared, bias-free (w0, w1) pair applied to both descriptors,
-    so a zero input yields a 0.5 gate exactly.
+    with one shared, bias-free (w0, w1) pair of 1x1 convolutions applied
+    to both N x C x 1 x 1 descriptors, so a zero input yields a 0.5 gate
+    exactly.
     """
 
     def __init__(self, name, rng, channels, reduction=16, dtype=np.float32):
@@ -123,7 +118,7 @@ class ChannelAttention:
         return [self.w0, self.w1]
 
     def _squeeze(self, pooled):
-        return linear(relu(linear(pooled, self.w0.value)), self.w1.value)
+        return conv2d(relu(conv2d(pooled, self.w0.value)), self.w1.value)
 
     def scale(self, x):
         """The N x C x 1 x 1 gate alone, before multiplying the input."""

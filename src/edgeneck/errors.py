@@ -6,7 +6,7 @@ file-format and I/O problems exit 3, verification failures exit 1.
 
 
 class ContractError(ValueError):
-    """An argument violates an operation's contract (dims, channels, groups)."""
+    """An argument violates an operation's contract (dims, channels)."""
 
 
 class ShapeError(ContractError):

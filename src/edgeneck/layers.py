@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
 from .tensor import ConvSpec, Parameter, conv2d, kaiming_uniform
 
 
@@ -21,14 +20,10 @@ class Conv2d:
             kernel = (kernel, kernel)
         kh, kw = kernel
         self.spec = spec or ConvSpec()
-        if c_in % self.spec.groups != 0:
-            raise ContractError(
-                f"{name}: in channels {c_in} not divisible by groups {self.spec.groups}"
-            )
         self.name = name
         self.c_in = c_in
         self.c_out = c_out
-        wdims = (c_out, c_in // self.spec.groups, kh, kw)
+        wdims = (c_out, c_in, kh, kw)
         self.weight = Parameter(name + ".w", kaiming_uniform(rng, wdims, dtype))
         self.bias = Parameter(name + ".b", np.zeros((1, c_out, 1, 1), dtype)) if bias else None
 

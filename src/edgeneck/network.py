@@ -41,8 +41,6 @@ def noise_image(seed, height=256, width=256, dtype=np.float32, channels=3):
 
 @dataclass
 class ForwardResult:
-    features: PyramidSet
-    guided: dict
     aggregated: PyramidSet
     refined: PyramidSet
     outputs: PyramidSet
@@ -116,7 +114,6 @@ class Network:
         stopwatch.lap("edge")
         named["edged.s4"] = f1t
         named["edged.s8"] = f2t
-        guided = {4: f1t, 8: f2t}
 
         sources = PyramidSet(
             [PyramidLevel(1, 4, f1t), PyramidLevel(2, 8, f2t)]
@@ -142,7 +139,7 @@ class Network:
         stopwatch.lap("pyramid")
         for lv in outs:
             named[f"out.s{lv.stride}"] = lv.tensor
-        return ForwardResult(feats, guided, agg, refined, outs, named)
+        return ForwardResult(agg, refined, outs, named)
 
 
 class _Stopwatch:

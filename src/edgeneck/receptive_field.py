@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
+from .errors import UsageError
 from .layers import Conv2d
 from .tensor import ConvSpec, concat_channels, mul, relu
 
@@ -46,14 +46,7 @@ def receptive_extent(k):
 class WideFieldBlock:
     """Five-branch wide/asymmetric receptive field module."""
 
-    def __init__(self, name, rng, c_in, c_out, dtype=np.float32, adjust_out=None):
-        if adjust_out is None:
-            adjust_out = c_out
-        if adjust_out != c_out:
-            raise ConfigError(
-                f"{name}: channel-adjust output {adjust_out} must equal the "
-                f"gating branch output {c_out} for the pointwise product"
-            )
+    def __init__(self, name, rng, c_in, c_out, dtype=np.float32):
         self.name = name
         self.c_in = c_in
         self.c_out = c_out
@@ -76,7 +69,7 @@ class WideFieldBlock:
             ]
         self.branches[5] = [Conv2d(name + ".br5.point", rng, c_in, c_out, (1, 1), point,
                                    dtype=dtype)]
-        self.adjust = Conv2d(name + ".adjust", rng, 4 * BRANCH_WIDTH, adjust_out, (1, 1),
+        self.adjust = Conv2d(name + ".adjust", rng, 4 * BRANCH_WIDTH, c_out, (1, 1),
                              point, dtype=dtype)
 
     def parameters(self):

@@ -233,12 +233,11 @@ def _pair(value, name):
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Stride / padding / dilation / groups bundle for :func:`conv2d`."""
+    """Stride / padding / dilation bundle for :func:`conv2d`."""
 
     stride: tuple = (1, 1)
     padding: tuple = (0, 0)
     dilation: tuple = (1, 1)
-    groups: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "stride", _pair(self.stride, "stride"))
@@ -250,8 +249,6 @@ class ConvSpec:
             raise ContractError(f"padding must be >= 0, got {self.padding}")
         if min(self.dilation) < 1:
             raise ContractError(f"dilation must be >= 1, got {self.dilation}")
-        if self.groups < 1:
-            raise ContractError(f"groups must be >= 1, got {self.groups}")
 
     def out_hw(self, h, w, kh, kw):
         """Output spatial dims: floor((D + 2p - d*(k-1) - 1)/s) + 1, each >= 0."""
@@ -284,22 +281,16 @@ def _reduce_broadcast(grad, dims):
 def conv2d(x, weight, bias=None, spec=None):
     """Cross-correlate ``x`` with ``weight`` under ``spec``.
 
-    ``weight`` dims are ``(C_out, C_in/groups, kH, kW)``; an optional bias
-    has dims ``(1, C_out, 1, 1)``.  Each output element accumulates its
-    terms in ascending ``(c, ky, kx)`` order with one rounding per term.
+    ``weight`` dims are ``(C_out, C_in, kH, kW)``; an optional bias has
+    dims ``(1, C_out, 1, 1)``.  Each output element accumulates its terms
+    in ascending ``(c, ky, kx)`` order with one rounding per term.
     """
     spec = spec or ConvSpec()
     _same_dtype(x, weight, bias)
     n, c, h, w = x.dims
-    c_out, c_per_group, kh, kw = weight.dims
-    if c % spec.groups != 0:
-        raise ContractError(f"input channels {c} not divisible by groups {spec.groups}")
-    if c_out % spec.groups != 0:
-        raise ContractError(f"output channels {c_out} not divisible by groups {spec.groups}")
-    if c_per_group != c // spec.groups:
-        raise ContractError(
-            f"weight in-channel dim {c_per_group} != input channels/groups {c // spec.groups}"
-        )
+    c_out, c_in, kh, kw = weight.dims
+    if c_in != c:
+        raise ContractError(f"weight in-channel dim {c_in} != input channels {c}")
     if bias is not None and bias.dims != (1, c_out, 1, 1):
         raise ContractError(f"bias dims {bias.dims} != (1, {c_out}, 1, 1)")
     oh, ow = spec.out_hw(h, w, kh, kw)
@@ -313,26 +304,21 @@ def conv2d(x, weight, bias=None, spec=None):
 
 def _conv_forward(xd, wd, bias_d, spec, oh, ow):
     n, c, h, w = xd.shape
-    c_out, c_per_group, kh, kw = wd.shape
+    c_out, _, kh, kw = wd.shape
     sy, sx = spec.stride
     py, px = spec.padding
     dy, dx = spec.dilation
-    g = spec.groups
     out = np.zeros((n, c_out, oh, ow), xd.dtype)
     if out.size and xd.size:
         xp = np.pad(xd, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else xd
-        out_per_group = c_out // g
-        for gi in range(g):
-            og = out[:, gi * out_per_group:(gi + 1) * out_per_group]
-            wg = wd[gi * out_per_group:(gi + 1) * out_per_group]
-            for ci in range(c_per_group):
-                xc = xp[:, gi * c_per_group + ci]
-                for ky in range(kh):
-                    y0 = ky * dy
-                    for kx in range(kw):
-                        x0 = kx * dx
-                        patch = xc[:, y0:y0 + (oh - 1) * sy + 1:sy, x0:x0 + (ow - 1) * sx + 1:sx]
-                        og += patch[:, None] * wg[:, ci, ky, kx].reshape(1, -1, 1, 1)
+        for ci in range(c):
+            xc = xp[:, ci]
+            for ky in range(kh):
+                y0 = ky * dy
+                for kx in range(kw):
+                    x0 = kx * dx
+                    patch = xc[:, y0:y0 + (oh - 1) * sy + 1:sy, x0:x0 + (ow - 1) * sx + 1:sx]
+                    out += patch[:, None] * wd[:, ci, ky, kx].reshape(1, -1, 1, 1)
     if bias_d is not None:
         out += bias_d
     return out
@@ -344,13 +330,11 @@ def _conv_backward(rec, grad_out):
     spec = rec.saved["spec"]
     xd, wd = x.data, weight.data
     n, c, h, w = xd.shape
-    c_out, c_per_group, kh, kw = wd.shape
+    c_out, _, kh, kw = wd.shape
     oh, ow = grad_out.shape[2], grad_out.shape[3]
     sy, sx = spec.stride
     py, px = spec.padding
     dy, dx = spec.dilation
-    g = spec.groups
-    out_per_group = c_out // g
 
     need_x = x.requires_grad
     need_w = weight.requires_grad
@@ -360,33 +344,27 @@ def _conv_backward(rec, grad_out):
         xp = np.pad(xd, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else xd
         gxp = np.zeros_like(xp) if need_x else None
         if grad_out.size:
-            for gi in range(g):
-                go = grad_out[:, gi * out_per_group:(gi + 1) * out_per_group]
-                wg = wd[gi * out_per_group:(gi + 1) * out_per_group]
-                for ci in range(c_per_group):
-                    xc = xp[:, gi * c_per_group + ci]
-                    for ky in range(kh):
-                        y0 = ky * dy
-                        for kx in range(kw):
-                            x0 = kx * dx
-                            ys = slice(y0, y0 + (oh - 1) * sy + 1, sy)
-                            xs = slice(x0, x0 + (ow - 1) * sx + 1, sx)
-                            if need_x:
-                                wvec = wg[:, ci, ky, kx].reshape(1, -1, 1, 1)
-                                gxp[:, gi * c_per_group + ci, ys, xs] += (go * wvec).sum(axis=1)
-                            if need_w:
-                                patch = xc[:, ys, xs]
-                                grad_w[gi * out_per_group:(gi + 1) * out_per_group, ci, ky, kx] = (
-                                    np.tensordot(go, patch, axes=([0, 2, 3], [0, 1, 2]))
-                                )
+            for ci in range(c):
+                xc = xp[:, ci]
+                for ky in range(kh):
+                    y0 = ky * dy
+                    for kx in range(kw):
+                        x0 = kx * dx
+                        ys = slice(y0, y0 + (oh - 1) * sy + 1, sy)
+                        xs = slice(x0, x0 + (ow - 1) * sx + 1, sx)
+                        if need_x:
+                            wvec = wd[:, ci, ky, kx].reshape(1, -1, 1, 1)
+                            gxp[:, ci, ys, xs] += (grad_out * wvec).sum(axis=1)
+                        if need_w:
+                            grad_w[:, ci, ky, kx] = np.tensordot(
+                                grad_out, xc[:, ys, xs], axes=([0, 2, 3], [0, 1, 2]))
         if need_x:
             grad_x = gxp[:, :, py:py + h, px:px + w] if (py or px) else gxp
 
     grad_b = None
     if bias is not None and bias.requires_grad:
         grad_b = grad_out.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1)
-    grads = (grad_x, grad_w) if bias is None else (grad_x, grad_w, grad_b)
-    return grads
+    return (grad_x, grad_w) if bias is None else (grad_x, grad_w, grad_b)
 
 
 # ---------------------------------------------------------------------------
@@ -453,20 +431,6 @@ def sigmoid(x):
 def _sigmoid_backward(rec, grad_out):
     s = rec.saved["value"]
     return (grad_out * s * (1.0 - s),)
-
-
-def sqrt(x):
-    if np.any(x.data < 0):
-        worst = float(x.data.min())
-        raise DomainError(f"sqrt of negative input (min element {worst})")
-    out_d = np.sqrt(x.data)
-    out = _result(out_d, x.requires_grad)
-    return _record("sqrt", (x,), out, value=out_d)
-
-
-def _sqrt_backward(rec, grad_out):
-    with np.errstate(divide="ignore"):
-        return (grad_out * (0.5 / rec.saved["value"]),)
 
 
 def square(x):
@@ -628,64 +592,6 @@ def _concat_channels_backward(rec, grad_out):
     return tuple(grads)
 
 
-def slice_channels(x, start, stop):
-    """Take channels [start, stop) as a new tensor."""
-    c = x.dims[1]
-    if not (0 <= start < stop <= c):
-        raise ContractError(f"channel slice [{start}, {stop}) out of range for C={c}")
-    out = _result(np.ascontiguousarray(x.data[:, start:stop]), x.requires_grad)
-    return _record("slice_channels", (x,), out, start=start, stop=stop)
-
-
-def _slice_channels_backward(rec, grad_out):
-    (x,) = rec.inputs
-    g = np.zeros_like(x.data)
-    g[:, rec.saved["start"]:rec.saved["stop"]] = grad_out
-    return (g,)
-
-
-def linear(x, weight, bias=None):
-    """Per-sample affine map on N x C x 1 x 1 descriptors.
-
-    ``weight`` dims are ``(C_out, C_in, 1, 1)``; the caller may apply the
-    same weights to several descriptors to share them.
-    """
-    _same_dtype(x, weight, bias)
-    n, c, h, w = x.dims
-    if (h, w) != (1, 1):
-        raise ContractError(f"linear expects N x C x 1 x 1 input, got {x.dims}")
-    c_out, c_in, kh, kw = weight.dims
-    if (kh, kw) != (1, 1):
-        raise ContractError(f"linear weight must be C_out x C_in x 1 x 1, got {weight.dims}")
-    if c_in != c:
-        raise ContractError(f"linear weight in-dim {c_in} != input channels {c}")
-    if bias is not None and bias.dims != (1, c_out, 1, 1):
-        raise ContractError(f"bias dims {bias.dims} != (1, {c_out}, 1, 1)")
-    w2 = weight.data.reshape(c_out, c_in)
-    out_d = (x.data.reshape(n, c) @ w2.T).reshape(n, c_out, 1, 1)
-    if bias is not None:
-        out_d = out_d + bias.data
-    requires = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
-    out = _result(out_d.astype(x.dtype, copy=False), requires)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _record("linear", inputs, out)
-
-
-def _linear_backward(rec, grad_out):
-    x, weight = rec.inputs[0], rec.inputs[1]
-    bias = rec.inputs[2] if len(rec.inputs) == 3 else None
-    n, c = x.dims[0], x.dims[1]
-    c_out = weight.dims[0]
-    g2 = grad_out.reshape(n, c_out)
-    w2 = weight.data.reshape(c_out, c)
-    gx = (g2 @ w2).reshape(x.dims) if x.requires_grad else None
-    gw = (g2.T @ x.data.reshape(n, c)).reshape(weight.dims) if weight.requires_grad else None
-    gb = None
-    if bias is not None and bias.requires_grad:
-        gb = g2.sum(axis=0).reshape(1, c_out, 1, 1)
-    return (gx, gw) if bias is None else (gx, gw, gb)
-
-
 def sum_all(x):
     """Sum every element into a 1 x 1 x 1 x 1 scalar tensor."""
     out = _result(x.data.sum(dtype=x.dtype).reshape(1, 1, 1, 1), x.requires_grad)
@@ -707,7 +613,6 @@ BACKWARD = {
     "mul": _mul_backward,
     "relu": _relu_backward,
     "sigmoid": _sigmoid_backward,
-    "sqrt": _sqrt_backward,
     "square": _square_backward,
     "global_avg_pool": _global_avg_pool_backward,
     "global_max_pool": _global_max_pool_backward,
@@ -716,8 +621,6 @@ BACKWARD = {
     "replicate_pad": _replicate_pad_backward,
     "channel_mean": _channel_mean_backward,
     "concat_channels": _concat_channels_backward,
-    "slice_channels": _slice_channels_backward,
-    "linear": _linear_backward,
     "sum_all": _sum_all_backward,
 }
 

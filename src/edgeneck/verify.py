@@ -19,9 +19,8 @@ from .network import Network, noise_image
 from .pyramid import TopDownPyramid
 from .receptive_field import WideFieldBlock
 from .tensor import (
-    ConvSpec, add, channel_mean, concat_channels, conv2d, global_pool,
-    linear, mul, relu, replicate_pad, resample, sigmoid, slice_channels,
-    sqrt, square, sum_all,
+    ConvSpec, add, channel_mean, concat_channels, conv2d, global_pool, mul,
+    relu, replicate_pad, resample, sigmoid, square, sum_all,
 )
 
 SCOPES = ("ops", "blocks", "all")
@@ -65,8 +64,7 @@ def op_checks(seed=1):
     conv_case("conv2d.basic", (1, 2, 5, 5), (3, 2, 3, 3), ConvSpec(padding=(1, 1)))
     conv_case("conv2d.strided", (1, 3, 7, 6), (4, 3, 3, 3),
               ConvSpec(stride=(2, 1), padding=(2, 1), dilation=(1, 2)))
-    conv_case("conv2d.grouped", (1, 4, 5, 5), (6, 2, 3, 3),
-              ConvSpec(padding=(1, 1), groups=2))
+    conv_case("conv2d.pointwise", (2, 6, 1, 1), (4, 6, 1, 1), ConvSpec())
 
     def simple(label, dims_map, fn, masks=None, coords=24):
         rng = _rng(seed, label)
@@ -99,26 +97,14 @@ def op_checks(seed=1):
            lambda x: sum_all(square(replicate_pad(x))))
     simple("channel_mean", {"x": (2, 5, 3, 3)},
            lambda x: sum_all(square(channel_mean(x))))
-    simple("concat_slice", {"a": (1, 2, 3, 3), "b": (1, 3, 3, 3)},
-           lambda a, b: sum_all(square(slice_channels(concat_channels([a, b]), 1, 4))))
-    simple("linear", {"x": (2, 6, 1, 1), "w": (4, 6, 1, 1), "b": (1, 4, 1, 1)},
-           lambda x, w, b: sum_all(square(linear(x, w, b))))
+    simple("concat_channels", {"a": (1, 2, 3, 3), "b": (1, 3, 3, 3)},
+           lambda a, b: sum_all(square(concat_channels([a, b]))))
     simple("edge_magnitude", {"gx": (1, 1, 4, 4), "gy": (1, 1, 4, 4)},
            lambda gx, gy: sum_all(edge_magnitude(gx, gy)),
            masks=lambda ins: {
                "gx": ins["gx"] ** 2 + ins["gy"] ** 2 > 0.04,
                "gy": ins["gx"] ** 2 + ins["gy"] ** 2 > 0.04,
            })
-
-    def sqrt_case():
-        rng = _rng(seed, "sqrt")
-        inputs = {"x": rng.uniform(0.5, 2.0, (1, 2, 3, 3))}
-        def run():
-            return grad_check(lambda x: sum_all(sqrt(x)), inputs,
-                              max_coords=24, rng=_rng(seed, "sqrt.pick"))
-        check("sqrt", run)
-
-    sqrt_case()
     return checks
 
 

@@ -66,19 +66,15 @@ class TestAggregateFull:
         merged = en.aggregate(feats)
         f1, f2, f3, f4, f5 = feats.tensors()
         fa1 = merged.by_stride(8).tensor
-        assert np.array_equal(en.slice_channels(fa1, 0, 4).data,
-                              en.resample(f1, "down2_max").data)
-        assert np.array_equal(en.slice_channels(fa1, 4, 12).data, f2.data)
+        assert np.array_equal(fa1.data[:, 0:4], en.resample(f1, "down2_max").data)
+        assert np.array_equal(fa1.data[:, 4:12], f2.data)
         fa2 = merged.by_stride(16).tensor
-        assert np.array_equal(en.slice_channels(fa2, 0, 8).data,
-                              en.resample(f2, "down2_max").data)
-        assert np.array_equal(en.slice_channels(fa2, 8, 24).data, f3.data)
-        assert np.array_equal(en.slice_channels(fa2, 24, 56).data,
-                              en.resample(f4, "up2_nearest").data)
+        assert np.array_equal(fa2.data[:, 0:8], en.resample(f2, "down2_max").data)
+        assert np.array_equal(fa2.data[:, 8:24], f3.data)
+        assert np.array_equal(fa2.data[:, 24:56], en.resample(f4, "up2_nearest").data)
         fa3 = merged.by_stride(32).tensor
-        assert np.array_equal(en.slice_channels(fa3, 0, 32).data, f4.data)
-        assert np.array_equal(en.slice_channels(fa3, 32, 96).data,
-                              en.resample(f5, "up2_nearest").data)
+        assert np.array_equal(fa3.data[:, 0:32], f4.data)
+        assert np.array_equal(fa3.data[:, 32:96], en.resample(f5, "up2_nearest").data)
         assert np.array_equal(merged.by_stride(64).tensor.data, f5.data)
 
     def test_locality_of_mid_feature(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from edgeneck import BACKWARD, Network
+from edgeneck import BACKWARD, Network, verify
 from edgeneck.netpbm import read_image, write_color, write_gray
 from edgeneck.report import parse_report, tensor_stats
 from edgeneck.weights import pack_entries, read_container, unpack_entries
@@ -162,7 +162,7 @@ class TestGradcheck:
         code, out, _ = run_cli("gradcheck", "--scope", "ops")
         assert code == 0
         lines = [ln for ln in out.splitlines() if ln.startswith("op.")]
-        assert len(lines) >= 17
+        assert len(lines) == len(verify.op_checks())
         assert all(": ok " in ln for ln in lines)
         assert "gradcheck scope=ops: all ok" in out
 

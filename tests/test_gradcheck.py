@@ -7,6 +7,7 @@ import edgeneck as en
 from edgeneck.errors import ContractError
 from edgeneck.gradcheck import grad_check
 from edgeneck.tensor import BACKWARD
+from edgeneck.verify import block_checks
 
 
 def rng(seed=0):
@@ -113,3 +114,36 @@ def test_runs_in_float64_regardless_of_input_dtype():
     x32 = rng(7).standard_normal((1, 1, 3, 3)).astype(np.float32)
     report = grad_check(lambda x: en.sum_all(en.mul(x, x)), {"x": x32})
     assert report.max_rel_err < 1e-9
+
+
+def _steep_sigmoid(x):
+    # sigmoid(20 x) near 0: the central difference alone misses by up to 3.6e-5
+    return en.sum_all(en.sigmoid(en.mul(x, en.full((1, 1, 1, 1), 20.0, np.float64))))
+
+
+def test_curved_probe_is_re_estimated():
+    x = np.linspace(-0.12, 0.12, 6).reshape(1, 1, 2, 3)
+    report = grad_check(_steep_sigmoid, {"x": x})
+    assert report.ok
+    assert report.entries[0].probed == 6
+
+
+def test_re_estimate_still_catches_a_small_bug(monkeypatch):
+    original = BACKWARD["sigmoid"]
+    monkeypatch.setitem(BACKWARD, "sigmoid", lambda rec, g: (original(rec, g)[0] * (1 + 1e-3),))
+    x = np.linspace(-0.12, 0.12, 6).reshape(1, 1, 2, 3)
+    assert not grad_check(_steep_sigmoid, {"x": x}).ok
+
+
+SWEPT = ("block.deep_sobel", "block.channel_gate", "block.edge_attention")
+
+
+def test_edge_blocks_pass_at_seeds_1_to_20():
+    failures = []
+    for seed in range(1, 21):
+        for label, thunk in block_checks(seed):
+            if label in SWEPT:
+                report = thunk()
+                if not report.ok:
+                    failures.append(f"seed {seed} {label}: {report.max_rel_err:.3e}")
+    assert not failures

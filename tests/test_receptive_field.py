@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import edgeneck as en
-from edgeneck.errors import ConfigError, UsageError
+from edgeneck.errors import UsageError
 
 
 def make_block(c_in=2, c_out=3, seed=0, dtype=np.float64):
@@ -105,8 +105,3 @@ class TestBlockBehavior:
         assert dims["t.wide.br5.point.w"] == (5, 6, 1, 1)
         assert dims["t.wide.adjust.w"] == (5, 4 * en.BRANCH_WIDTH, 1, 1)
         assert en.BRANCH_WIDTH == 32
-
-    def test_adjust_width_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            en.WideFieldBlock("t.wide", np.random.default_rng(0), 4, 8,
-                              np.float64, adjust_out=6)
