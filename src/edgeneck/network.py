@@ -17,7 +17,7 @@ import numpy as np
 from .aggregation import aggregate, aggregation_plan, plan_channels
 from .backbone import Backbone, BackboneConfig
 from .edge_attention import EdgeGuidedAttention
-from .errors import ContractError
+from .errors import ContractError, DomainError
 from .levels import PyramidLevel, PyramidSet
 from .pyramid import TopDownPyramid
 from .receptive_field import WideFieldBlock
@@ -102,6 +102,12 @@ class Network:
         if image.dtype != self.dtype:
             raise ContractError(
                 f"network built for {np.dtype(self.dtype).name}, got {image.dtype.name} input"
+            )
+        finite = np.isfinite(image.data)
+        if not finite.all():
+            index = tuple(int(i) for i in np.argwhere(~finite)[0])
+            raise DomainError(
+                f"input pixel (n, c, y, x) = {index} is {image.data[index]}; pixels must be finite"
             )
         stopwatch = _Stopwatch(timings)
         named = {}

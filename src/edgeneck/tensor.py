@@ -7,10 +7,14 @@ depends on a gradient-carrying tensor append a record; :func:`backward`
 replays those records in exact reverse creation order and accumulates
 ``d(root)/d(leaf)`` into the ``grad`` buffer of every leaf it reaches.
 
-Convolution uses the cross-correlation convention (no kernel flip) and
-accumulates each output element in ascending ``(c, ky, kx)`` order, one
-rounding per term, so a scalar nested-loop reference summing in the same
-order reproduces it bit-for-bit in float64.
+Convolution uses the cross-correlation convention (no kernel flip) and is
+lowered to im2col plus one matrix multiply (GEMM), forward and backward.
+Every im2col and col2im buffer is bounded by ``_TILE_BYTES``: the forward
+and the input gradient are tiled over output rows, the weight gradient over
+input channels.  The summation order is the BLAS library's, so results
+agree with a scalar nested-loop reference within the rounding-error bound
+of a length-``C*kH*kW`` dot product, not bit-for-bit; they are
+deterministic on one machine.
 """
 
 from __future__ import annotations
@@ -282,8 +286,11 @@ def conv2d(x, weight, bias=None, spec=None):
     """Cross-correlate ``x`` with ``weight`` under ``spec``.
 
     ``weight`` dims are ``(C_out, C_in, kH, kW)``; an optional bias has
-    dims ``(1, C_out, 1, 1)``.  Each output element accumulates its terms
-    in ascending ``(c, ky, kx)`` order with one rounding per term.
+    dims ``(1, C_out, 1, 1)``.  Computed as im2col plus GEMM over row
+    tiles of at most ``_TILE_BYTES`` of columns; each output element is a
+    length-``C_in*kH*kW`` dot product summed in the BLAS library's order,
+    so it is deterministic on one machine but not bit-exact across
+    platforms.
     """
     spec = spec or ConvSpec()
     _same_dtype(x, weight, bias)
@@ -302,23 +309,48 @@ def conv2d(x, weight, bias=None, spec=None):
     return _record("conv2d", inputs, result, spec=spec)
 
 
-def _conv_forward(xd, wd, bias_d, spec, oh, ow):
-    n, c, h, w = xd.shape
-    c_out, _, kh, kw = wd.shape
-    sy, sx = spec.stride
+# Upper bound on the bytes of one im2col or col2im buffer.  1 MiB holds
+# three output rows of the pyramid's 3x3 smooth at stride 8 of a 256^2
+# image (K = 2304, OW = 32, f32) and keeps a 2048^2 input from
+# materializing its whole column matrix (about 600 MB for that layer).
+_TILE_BYTES = 1 << 20
+
+
+def _padded(xd, spec):
     py, px = spec.padding
-    dy, dx = spec.dilation
-    out = np.zeros((n, c_out, oh, ow), xd.dtype)
-    if out.size and xd.size:
-        xp = np.pad(xd, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else xd
-        for ci in range(c):
-            xc = xp[:, ci]
-            for ky in range(kh):
-                y0 = ky * dy
-                for kx in range(kw):
-                    x0 = kx * dx
-                    patch = xc[:, y0:y0 + (oh - 1) * sy + 1:sy, x0:x0 + (ow - 1) * sx + 1:sx]
-                    out += patch[:, None] * wd[:, ci, ky, kx].reshape(1, -1, 1, 1)
+    return np.pad(xd, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else xd
+
+
+def _taps(xp, kh, kw, spec, row0, rows, ow):
+    """Read-only im2col view ``(N, C, kH, kW, rows, OW)`` of output rows ``row0:row0+rows``."""
+    n, c = xp.shape[:2]
+    sn, sc, sh, sw = xp.strides
+    (sy, sx), (dy, dx) = spec.stride, spec.dilation
+    return np.lib.stride_tricks.as_strided(
+        xp[:, :, row0 * sy:], (n, c, kh, kw, rows, ow),
+        (sn, sc, sh * dy, sw * dx, sh * sy, sw * sx), writeable=False)
+
+
+def _tile(count, unit_bytes):
+    """How many units of ``unit_bytes`` (at least one) fit in ``_TILE_BYTES``."""
+    return max(1, min(count, _TILE_BYTES // max(1, unit_bytes)))
+
+
+def _conv_forward(xd, wd, bias_d, spec, oh, ow):
+    n, c = xd.shape[:2]
+    c_out, _, kh, kw = wd.shape
+    k = c * kh * kw
+    out = np.zeros((n, c_out, oh * ow), xd.dtype)
+    if out.size:
+        xp = _padded(xd, spec)
+        w2 = wd.reshape(c_out, k)
+        step = _tile(oh, n * k * ow * xd.itemsize)
+        for row0 in range(0, oh, step):
+            rows = min(step, oh - row0)
+            # a view for an unpadded 1x1 stride-1 conv; otherwise the im2col copy
+            cols = _taps(xp, kh, kw, spec, row0, rows, ow).reshape(n, k, rows * ow)
+            np.matmul(w2, cols, out=out[:, :, row0 * ow:(row0 + rows) * ow])
+    out = out.reshape(n, c_out, oh, ow)
     if bias_d is not None:
         out += bias_d
     return out
@@ -331,35 +363,46 @@ def _conv_backward(rec, grad_out):
     xd, wd = x.data, weight.data
     n, c, h, w = xd.shape
     c_out, _, kh, kw = wd.shape
-    oh, ow = grad_out.shape[2], grad_out.shape[3]
-    sy, sx = spec.stride
+    oh, ow = grad_out.shape[2:]
+    k = c * kh * kw
     py, px = spec.padding
-    dy, dx = spec.dilation
+    go = grad_out.reshape(n, c_out, oh * ow)
 
-    need_x = x.requires_grad
-    need_w = weight.requires_grad
     grad_x = None
-    grad_w = np.zeros_like(wd) if need_w else None
-    if need_x or need_w:
-        xp = np.pad(xd, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else xd
-        gxp = np.zeros_like(xp) if need_x else None
+    if x.requires_grad:
+        # col2im: W^T @ grad_out per row tile, scattered one (ky, kx) tap at a time
+        gxp = np.zeros((n, c, h + 2 * py, w + 2 * px), xd.dtype)
+        (sy, sx), (dy, dx) = spec.stride, spec.dilation
+        wt = wd.reshape(c_out, k).T
         if grad_out.size:
-            for ci in range(c):
-                xc = xp[:, ci]
+            step = _tile(oh, n * k * ow * xd.itemsize)
+            for row0 in range(0, oh, step):
+                rows = min(step, oh - row0)
+                g = np.matmul(wt, go[:, :, row0 * ow:(row0 + rows) * ow])
+                g = g.reshape(n, c, kh, kw, rows, ow)
                 for ky in range(kh):
-                    y0 = ky * dy
+                    y0 = row0 * sy + ky * dy
+                    ys = slice(y0, y0 + (rows - 1) * sy + 1, sy)
                     for kx in range(kw):
                         x0 = kx * dx
-                        ys = slice(y0, y0 + (oh - 1) * sy + 1, sy)
-                        xs = slice(x0, x0 + (ow - 1) * sx + 1, sx)
-                        if need_x:
-                            wvec = wd[:, ci, ky, kx].reshape(1, -1, 1, 1)
-                            gxp[:, ci, ys, xs] += (grad_out * wvec).sum(axis=1)
-                        if need_w:
-                            grad_w[:, ci, ky, kx] = np.tensordot(
-                                grad_out, xc[:, ys, xs], axes=([0, 2, 3], [0, 1, 2]))
-        if need_x:
-            grad_x = gxp[:, :, py:py + h, px:px + w] if (py or px) else gxp
+                        gxp[:, :, ys, x0:x0 + (ow - 1) * sx + 1:sx] += g[:, :, ky, kx]
+        grad_x = gxp[:, :, py:py + h, px:px + w]
+
+    grad_w = None
+    if weight.requires_grad:
+        # grad_out @ cols^T per chunk of input channels, written in place
+        grad_w = np.zeros_like(wd)
+        if grad_out.size:
+            xp = _padded(xd, spec)
+            go2 = go.transpose(1, 0, 2).reshape(c_out, n * oh * ow)
+            gw2 = grad_w.reshape(c_out, k)
+            taps = kh * kw
+            step = _tile(c, taps * n * oh * ow * xd.itemsize)
+            for c0 in range(0, c, step):
+                cc = min(step, c - c0)
+                cols = _taps(xp[:, c0:c0 + cc], kh, kw, spec, 0, oh, ow)
+                cols = cols.transpose(1, 2, 3, 0, 4, 5).reshape(cc * taps, n * oh * ow)
+                np.matmul(go2, cols.T, out=gw2[:, c0 * taps:(c0 + cc) * taps])
 
     grad_b = None
     if bias is not None and bias.requires_grad:

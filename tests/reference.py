@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: scalar loops, Python-float
 accumulation in ascending (channel, ky, kx) order, no shared code with
-the package.  The convolution oracle reproduces the library's term order
-exactly, so float64 comparisons can demand bit equality.
+the package.  The library's convolution sums in the BLAS library's order,
+so float64 comparisons against the convolution oracle use the
+rounding-error bound of a dot product, not bit equality.
 """
 
 import math

@@ -7,7 +7,7 @@ import edgeneck as en
 from edgeneck.errors import ContractError
 from edgeneck.gradcheck import grad_check
 from edgeneck.tensor import BACKWARD
-from edgeneck.verify import block_checks
+from edgeneck.verify import block_checks, op_checks
 
 
 def rng(seed=0):
@@ -135,15 +135,12 @@ def test_re_estimate_still_catches_a_small_bug(monkeypatch):
     assert not grad_check(_steep_sigmoid, {"x": x}).ok
 
 
-SWEPT = ("block.deep_sobel", "block.channel_gate", "block.edge_attention")
-
-
 def test_edge_blocks_pass_at_seeds_1_to_20():
+    """Every op and block check, the edge-attention blocks included, at seeds 1-20."""
     failures = []
     for seed in range(1, 21):
-        for label, thunk in block_checks(seed):
-            if label in SWEPT:
-                report = thunk()
-                if not report.ok:
-                    failures.append(f"seed {seed} {label}: {report.max_rel_err:.3e}")
+        for label, thunk in op_checks(seed) + block_checks(seed):
+            report = thunk()
+            if not report.ok:
+                failures.append(f"seed {seed} {label}: {report.max_rel_err:.3e}")
     assert not failures

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import edgeneck as en
-from edgeneck.errors import ContractError
+from edgeneck.errors import ContractError, DomainError
 
 SMALL = dict(channels=(4, 8, 8, 16, 16), pyramid_width=8, reduction=4)
 
@@ -88,6 +88,15 @@ class TestValidation:
         net = en.Network(seed=0, dtype=np.float64, **SMALL)
         with pytest.raises(ContractError):
             net.forward(en.noise_image(0, 64, 64, np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        net = en.Network(seed=0, **SMALL)
+        data = en.noise_image(0, 64, 64).data.copy()
+        data[0, 1, 5, 7] = bad
+        data[0, 2, 9, 3] = bad
+        with pytest.raises(DomainError, match=r"\(0, 1, 5, 7\)"):
+            net.forward(en.Tensor(data))
 
     def test_timings_filled_when_requested(self):
         net = en.Network(seed=0, **SMALL)

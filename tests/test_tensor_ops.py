@@ -1,16 +1,41 @@
 """Forward contracts of the tensor core: shapes, values, errors."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 import edgeneck as en
 from edgeneck.errors import ContractError, DomainError, ShapeError
+from edgeneck.gradcheck import grad_check
 
 from reference import conv2d_reference, linear_reference
+
+# the module, not the `tensor` constructor the package re-exports
+tensor_core = importlib.import_module("edgeneck.tensor")
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def gamma(n, u=2.0 ** -53):
+    """Higham's gamma_n = n*u / (1 - n*u), the relative error bound of an n-term sum."""
+    return n * u / (1 - n * u)
+
+
+def assert_within_rounding_bound(got, x, w, b, spec):
+    """|got - want| <= 2*gamma(K+1) * (sum|x||w| + |b|) elementwise, in float64.
+
+    ``want`` is the loop oracle; each side is within gamma(K+1) of the
+    exact sum (Higham 2002, 3.1), hence the factor 2.  Any wrong tap,
+    stride, dilation or padding is an O(1) error.
+    """
+    args = (spec.stride, spec.padding, spec.dilation)
+    want = conv2d_reference(x, w, b, *args)
+    magnitude = conv2d_reference(np.abs(x), np.abs(w), np.abs(b), *args)
+    k = w.shape[1] * w.shape[2] * w.shape[3]
+    assert np.all(np.abs(got - want) <= 2 * gamma(k + 1) * magnitude)
 
 
 class TestTensorType:
@@ -79,16 +104,29 @@ class TestConv2d:
              spec=en.ConvSpec(stride=(2, 1), padding=(2, 1), dilation=(1, 2))),
         dict(x=(2, 6, 1, 1), w=(4, 6, 1, 1), spec=en.ConvSpec()),  # the channel gate's 1x1
         dict(x=(2, 1, 7, 8), w=(1, 1, 3, 3), spec=en.ConvSpec()),  # Sobel on a channel mean
+        dict(x=(1, 64, 12, 12), w=(8, 64, 3, 3), spec=en.ConvSpec(padding=(1, 1))),  # K = 577
     ])
-    def test_matches_reference_bit_for_bit(self, case):
+    def test_matches_reference_within_rounding_bound(self, case):
         r = rng(42)
         x = r.standard_normal(case["x"])
         w = r.standard_normal(case["w"])
         b = r.standard_normal((1, case["w"][0], 1, 1))
-        spec = case["spec"]
+        got = en.conv2d(en.Tensor(x), en.Tensor(w), en.Tensor(b), case["spec"]).data
+        assert_within_rounding_bound(got, x, w, b, case["spec"])
+
+    def test_tile_seams(self, monkeypatch):
+        # one output row per im2col tile and one input channel per grad_w chunk
+        monkeypatch.setattr(tensor_core, "_TILE_BYTES", 1)
+        r = rng(43)
+        x = r.standard_normal((2, 3, 7, 6))
+        w = r.standard_normal((4, 3, 3, 2))
+        b = r.standard_normal((1, 4, 1, 1))
+        spec = en.ConvSpec(stride=(2, 1), padding=(2, 1), dilation=(1, 2))
         got = en.conv2d(en.Tensor(x), en.Tensor(w), en.Tensor(b), spec).data
-        want = conv2d_reference(x, w, b, spec.stride, spec.padding, spec.dilation)
-        assert np.array_equal(got, want)
+        assert_within_rounding_bound(got, x, w, b, spec)
+        report = grad_check(lambda x, w, b: en.sum_all(en.conv2d(x, w, b, spec)),
+                            {"x": x, "w": w, "b": b})
+        assert report.ok, report.format()
 
     def test_zero_output_dim_yields_empty(self):
         y = en.conv2d(en.ones((1, 1, 3, 4)), en.ones((2, 1, 4, 4)))
