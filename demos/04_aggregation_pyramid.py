@@ -18,8 +18,7 @@ def show(tag, levels):
 
 
 def main():
-    backbone = en.Backbone("demo.bb", np.random.default_rng(11),
-                           en.BackboneConfig(channels=(4, 8, 8, 16, 16)))
+    backbone = en.Backbone("demo.bb", np.random.default_rng(11), (4, 8, 8, 16, 16))
     image = en.noise_image(11, 128, 128)
     feats = backbone(image)
     show("backbone", feats)
@@ -50,7 +49,7 @@ def main():
             t = lv.tensor
             if lv.stride == bump:
                 t = en.Tensor(t.data + 1.0)
-            levels.append(en.PyramidLevel(lv.index, lv.stride, t))
+            levels.append(en.PyramidLevel(lv.stride, t))
         out = pyramid(en.PyramidSet(levels))
         for a, b in zip(base, out):
             if not np.array_equal(a.tensor.data, b.tensor.data):

@@ -5,11 +5,11 @@ top-down fusion, on a minimal reverse-mode 4-D tensor core.
 """
 
 from .aggregation import MODES, aggregate, aggregation_plan, plan_channels
-from .backbone import Backbone, BackboneConfig
+from .backbone import Backbone
 from .config import RunConfig, load_config, parse_config
 from .edge_attention import (
     SOBEL_X, SOBEL_Y, ChannelAttention, EdgeGuidedAttention, deep_sobel,
-    edge_guide, edge_magnitude, edge_map,
+    edge_guide, edge_map,
 )
 from .errors import (
     ConfigError, ContractError, DomainError, FormatError, LoadError,
@@ -23,9 +23,9 @@ from .pyramid import TopDownPyramid
 from .receptive_field import BRANCH_WIDTH, WideFieldBlock, receptive_extent
 from .tensor import (
     BACKWARD, ConvSpec, Parameter, Tape, Tensor, add, backward,
-    channel_mean, concat_channels, conv2d, full, global_pool,
-    kaiming_uniform, mul, ones, ones_like, relu, replicate_pad, resample,
-    sigmoid, square, sum_all, tensor, zeros,
+    channel_mean, concat_channels, conv2d, down2_max, edge_magnitude, full,
+    global_avg_pool, global_max_pool, kaiming_uniform, mul, ones, ones_like,
+    relu, replicate_pad, sigmoid, square, sum_all, up2_nearest, zeros,
 )
 
 __version__ = "1.0.0"

@@ -4,10 +4,10 @@ The five backbone-derived features (strides 4..64) are regrouped into
 four fused levels at strides 8..64 by resampling neighbours onto a common
 resolution and concatenating:
 
-    level 1, stride 8:  [down2(s4), s8]            -> c1 + c2 channels
-    level 2, stride 16: [down2(s8), s16, up2(s32)] -> c2 + c3 + c4
-    level 3, stride 32: [s32, up2(s64)]            -> c4 + c5
-    level 4, stride 64: [s64]                      -> c5
+    stride 8:  [down2_max(s4), s8]                    -> c1 + c2 channels
+    stride 16: [down2_max(s8), s16, up2_nearest(s32)] -> c2 + c3 + c4
+    stride 32: [s32, up2_nearest(s64)]                -> c4 + c5
+    stride 64: [s64]                                  -> c5
 
 The two ablation modes restrict which source levels participate: ``low3``
 keeps only the three finest sources, ``high3`` only the three coarsest.
@@ -20,17 +20,17 @@ from __future__ import annotations
 
 from .errors import ConfigError
 from .levels import PyramidLevel, PyramidSet
-from .tensor import concat_channels, resample
+from .tensor import concat_channels, down2_max, up2_nearest
 
 SOURCE_STRIDES = (4, 8, 16, 32, 64)
 MODES = ("full", "low3", "high3")
 
-# (level index, output stride, constituents as (source stride, transform))
+# (output stride, constituents as (source stride, resampling op or None))
 _FULL_PLAN = (
-    (1, 8, ((4, "down2"), (8, "keep"))),
-    (2, 16, ((8, "down2"), (16, "keep"), (32, "up2"))),
-    (3, 32, ((32, "keep"), (64, "up2"))),
-    (4, 64, ((64, "keep"),)),
+    (8, ((4, down2_max), (8, None))),
+    (16, ((8, down2_max), (16, None), (32, up2_nearest))),
+    (32, ((32, None), (64, up2_nearest))),
+    (64, ((64, None),)),
 )
 
 _MODE_SOURCES = {
@@ -46,17 +46,17 @@ def aggregation_plan(mode="full"):
         raise ConfigError(f"fa_mode must be one of {MODES}, got {mode!r}")
     allowed = _MODE_SOURCES[mode]
     plan = []
-    for index, stride, constituents in _FULL_PLAN:
+    for stride, constituents in _FULL_PLAN:
         kept = tuple(c for c in constituents if c[0] in allowed)
         if kept:
-            plan.append((index, stride, kept))
+            plan.append((stride, kept))
     return tuple(plan)
 
 
 def plan_channels(plan, source_channels):
     """Output channel count per fused level, from the source channel map."""
     by_stride = dict(zip(SOURCE_STRIDES, source_channels))
-    return tuple(sum(by_stride[s] for s, _ in constituents) for _, _, constituents in plan)
+    return tuple(sum(by_stride[s] for s, _ in constituents) for _, constituents in plan)
 
 
 def aggregate(feats, mode="full"):
@@ -66,14 +66,10 @@ def aggregate(feats, mode="full"):
             f"aggregation needs source strides {SOURCE_STRIDES}, got {feats.strides}"
         )
     out = []
-    for index, stride, constituents in aggregation_plan(mode):
+    for stride, constituents in aggregation_plan(mode):
         parts = []
-        for source_stride, transform in constituents:
+        for source_stride, op in constituents:
             t = feats.by_stride(source_stride).tensor
-            if transform == "down2":
-                t = resample(t, "down2_max")
-            elif transform == "up2":
-                t = resample(t, "up2_nearest")
-            parts.append(t)
-        out.append(PyramidLevel(index, stride, concat_channels(parts)))
+            parts.append(op(t) if op else t)
+        out.append(PyramidLevel(stride, concat_channels(parts)))
     return PyramidSet(out)

@@ -9,8 +9,6 @@ channel interface, not pretrained semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractError, ShapeError
@@ -19,29 +17,20 @@ from .levels import PyramidLevel, PyramidSet
 from .tensor import ConvSpec, relu
 
 STRIDES = (4, 8, 16, 32, 64)
-
-
-@dataclass(frozen=True)
-class BackboneConfig:
-    channels: tuple = (16, 32, 64, 128, 256)
-    in_channels: int = 3
-
-    def __post_init__(self):
-        if len(self.channels) != 5:
-            raise ContractError(f"channel plan needs 5 entries, got {self.channels}")
-        if min(self.channels) < 1:
-            raise ContractError(f"channel counts must be >= 1, got {self.channels}")
+IN_CHANNELS = 3  # the image: RGB, or a grey image replicated three times
 
 
 class Backbone:
-    def __init__(self, name, rng, cfg=None, dtype=np.float32):
-        cfg = cfg or BackboneConfig()
+    def __init__(self, name, rng, channels=(16, 32, 64, 128, 256), dtype=np.float32):
+        if len(channels) != 5:
+            raise ContractError(f"channel plan needs 5 entries, got {channels}")
+        if min(channels) < 1:
+            raise ContractError(f"channel counts must be >= 1, got {channels}")
         self.name = name
-        self.cfg = cfg
-        c1, c2, c3, c4, c5 = cfg.channels
+        c1, c2, c3, c4, c5 = channels
         half = ConvSpec(stride=(2, 2), padding=(1, 1))
         self.convs = [
-            Conv2d(name + ".stem1", rng, cfg.in_channels, c1, (3, 3), half, dtype=dtype),
+            Conv2d(name + ".stem1", rng, IN_CHANNELS, c1, (3, 3), half, dtype=dtype),
             Conv2d(name + ".stem2", rng, c1, c1, (3, 3), half, dtype=dtype),
             Conv2d(name + ".stage2", rng, c1, c2, (3, 3), half, dtype=dtype),
             Conv2d(name + ".stage3", rng, c2, c3, (3, 3), half, dtype=dtype),
@@ -57,10 +46,8 @@ class Backbone:
 
     def __call__(self, image):
         n, c, h, w = image.dims
-        if c != self.cfg.in_channels:
-            raise ContractError(
-                f"backbone expects {self.cfg.in_channels} input channels, got {c}"
-            )
+        if c != IN_CHANNELS:
+            raise ContractError(f"backbone expects {IN_CHANNELS} input channels, got {c}")
         if h % 64 or w % 64:
             raise ShapeError(
                 f"input spatial dims must be divisible by 64, got {h}x{w}"
@@ -70,5 +57,5 @@ class Backbone:
         for i, conv in enumerate(self.convs):
             x = relu(conv(x))
             if i >= 1:  # stem1+stem2 jointly produce the stride-4 level
-                features.append(PyramidLevel(i, STRIDES[i - 1], x))
+                features.append(PyramidLevel(STRIDES[i - 1], x))
         return PyramidSet(features)

@@ -18,15 +18,16 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config, noise_size
-from .edge_attention import deep_sobel, edge_magnitude
+from .aggregation import MODES
+from .config import RunConfig, load_config, noise_size, parse_seed
+from .edge_attention import deep_sobel
 from .errors import (
     ConfigError, ContractError, DomainError, FormatError, UsageError,
 )
 from .netpbm import read_image, to_luma, write_gray
 from .network import Network, noise_image
 from .report import build_report
-from .tensor import Tensor
+from .tensor import Tensor, edge_magnitude
 from .verify import SCOPES, checks_for_scope, run_checks
 from .weights import (
     load_into_parameters, read_container, split_entries, write_container,
@@ -47,8 +48,8 @@ def _build_parser():
 
     p_fwd = sub.add_parser("forward", help="run the full pipeline and print a report")
     p_fwd.add_argument("--config", help="key=value config file")
-    p_fwd.add_argument("--seed", type=int, help="override the config seed")
-    p_fwd.add_argument("--fa-mode", choices=("full", "low3", "high3"),
+    p_fwd.add_argument("--seed", type=parse_seed, help="override the config seed")
+    p_fwd.add_argument("--fa-mode", choices=MODES,
                        help="override the aggregation mode")
     p_fwd.add_argument("--weights", help="load parameters from a container first")
     p_fwd.add_argument("--dump-dir", help="write tensors.erlw and report.txt here")
@@ -57,13 +58,13 @@ def _build_parser():
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p_gc.add_argument("--scope", choices=SCOPES, default="ops")
-    p_gc.add_argument("--seed", type=int, default=1)
+    p_gc.add_argument("--seed", type=parse_seed, default=1)
 
     p_w = sub.add_parser("weights", help="parameter serialization round-trip")
     p_w.add_argument("action", choices=("dump", "load-verify"))
     p_w.add_argument("path", help="container file")
     p_w.add_argument("--config", help="key=value config file")
-    p_w.add_argument("--seed", type=int, help="override the config seed")
+    p_w.add_argument("--seed", type=parse_seed, help="override the config seed")
     return parser
 
 
@@ -85,9 +86,9 @@ def _build_network(cfg):
 
 def _load_input(cfg):
     dtype = cfg.np_dtype
-    if cfg.input.startswith("noise"):
-        h, w = noise_size(cfg.input)
-        return noise_image(cfg.seed, h, w, dtype)
+    size = noise_size(cfg.input)
+    if size is not None:
+        return noise_image(cfg.seed, *size, dtype)
     magic, pixels = read_image(cfg.input)
     scaled = pixels.astype(np.float64) / 255.0
     if magic == "P6":

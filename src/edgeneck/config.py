@@ -2,16 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
+from .aggregation import MODES
 from .errors import ConfigError
+from .tensor import DTYPE_NAMES
 
-FA_MODES = ("full", "low3", "high3")
-DTYPES = {"f32": np.float32, "f64": np.float64}
-KEYS = ("input", "seed", "channels", "pyramid_width", "fa_mode",
-        "reduction_ratio", "dtype", "dump_dir")
+DTYPES = {name: dtype for dtype, name in DTYPE_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -44,18 +41,27 @@ def _parse_int(key, raw, minimum=None):
     return value
 
 
+def parse_seed(raw):
+    """A seed from its text: a non-negative integer, as the generators need."""
+    return _parse_int("seed", raw, minimum=0)
+
+
 def _parse_input(raw):
     if not raw:
         raise ConfigError("input must be 'noise', 'noise:HxW', or an image path")
-    if raw.startswith("noise:"):
-        noise_size(raw)  # validate eagerly so errors name the config key
+    noise_size(raw)  # validate eagerly so errors name the config key
     return raw
 
 
 def noise_size(spec):
-    """Spatial dims of a noise input spec; (256, 256) for plain 'noise'."""
+    """Spatial dims ``(H, W)`` of a noise input spec, or None for an image path.
+
+    Plain ``noise`` is 256x256; ``noise:HxW`` names the size.
+    """
     if spec == "noise":
         return 256, 256
+    if not spec.startswith("noise:"):
+        return None
     body = spec[len("noise:"):]
     parts = body.lower().split("x")
     if len(parts) != 2:
@@ -69,7 +75,7 @@ def _parse_value(key, raw):
     if key == "input":
         return _parse_input(raw)
     if key == "seed":
-        return _parse_int(key, raw)
+        return parse_seed(raw)
     if key == "channels":
         parts = [p.strip() for p in raw.split(",")]
         if len(parts) != 5:
@@ -78,14 +84,14 @@ def _parse_value(key, raw):
     if key == "pyramid_width":
         return _parse_int(key, raw, minimum=1)
     if key == "fa_mode":
-        if raw not in FA_MODES:
-            raise ConfigError(f"fa_mode must be one of {FA_MODES}, got {raw!r}")
+        if raw not in MODES:
+            raise ConfigError(f"fa_mode must be one of {MODES}, got {raw!r}")
         return raw
     if key == "reduction_ratio":
         return _parse_int(key, raw, minimum=1)
     if key == "dtype":
         if raw not in DTYPES:
-            raise ConfigError(f"dtype must be 'f32' or 'f64', got {raw!r}")
+            raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got {raw!r}")
         return raw
     if key == "dump_dir":
         return raw
@@ -101,7 +107,7 @@ def parse_config(text, source="<config>"):
         if "=" not in body:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {body!r}")
         key, raw = (part.strip() for part in body.split("=", 1))
-        if key not in KEYS:
+        if key not in {f.name for f in fields(RunConfig)}:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate config key {key!r}")

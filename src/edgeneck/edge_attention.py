@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
 from .tensor import (
-    BACKWARD, Parameter, Tensor, _record, _result, add, channel_mean,
-    conv2d, global_pool, kaiming_uniform, mul, relu, replicate_pad,
-    sigmoid, trace_branch,
+    Parameter, Tensor, add, channel_mean, conv2d, edge_magnitude,
+    global_avg_pool, global_max_pool, kaiming_uniform, mul, relu,
+    replicate_pad, sigmoid,
 )
 
 # Horizontal-derivative kernel; the vertical one is its transpose.
@@ -46,34 +46,6 @@ def deep_sobel(x):
     kx = Tensor(np.asarray(SOBEL_X, x.dtype).reshape(1, 1, 3, 3))
     ky = Tensor(np.asarray(SOBEL_Y, x.dtype).reshape(1, 1, 3, 3))
     return conv2d(padded, kx), conv2d(padded, ky)
-
-
-def edge_magnitude(gx, gy):
-    """Pointwise sqrt(gx^2 + gy^2) with a zero gradient at exactly (0, 0).
-
-    A fused op: composing sqrt, add and square would send an infinite
-    factor through the chain where both inputs vanish, while the magnitude
-    itself has a well-defined (sub)gradient of zero there.
-    """
-    if gx.dims != gy.dims:
-        raise ContractError(f"edge_magnitude dims differ: {gx.dims} vs {gy.dims}")
-    mag = np.sqrt(gx.data * gx.data + gy.data * gy.data)
-    trace_branch(mag > 0)
-    out = _result(mag, gx.requires_grad or gy.requires_grad)
-    return _record("edge_magnitude", (gx, gy), out, value=mag)
-
-
-def _edge_magnitude_backward(rec, grad_out):
-    gx, gy = rec.inputs
-    mag = rec.saved["value"]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mag > 0, grad_out / mag, grad_out.dtype.type(0))
-    ga = scale * gx.data if gx.requires_grad else None
-    gb = scale * gy.data if gy.requires_grad else None
-    return ga, gb
-
-
-BACKWARD["edge_magnitude"] = _edge_magnitude_backward
 
 
 def edge_map(x):
@@ -126,8 +98,8 @@ class ChannelAttention:
             raise ContractError(
                 f"{self.name}: input has {x.dims[1]} channels, gate built for {self.channels}"
             )
-        a = self._squeeze(global_pool("avg", x))
-        m = self._squeeze(global_pool("max", x))
+        a = self._squeeze(global_avg_pool(x))
+        m = self._squeeze(global_max_pool(x))
         return sigmoid(add(a, m))
 
     def __call__(self, x):

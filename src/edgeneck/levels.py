@@ -10,9 +10,8 @@ from .tensor import Tensor
 
 @dataclass
 class PyramidLevel:
-    """One feature level: 1-based index, stride vs the input image, tensor."""
+    """One feature level: its stride vs the input image, and its tensor."""
 
-    index: int
     stride: int
     tensor: Tensor
 
@@ -45,7 +44,7 @@ class PyramidSet:
             n, c, h, w = lv.tensor.dims
             if (h * lv.stride, w * lv.stride) != (base_h, base_w):
                 raise ShapeError(
-                    f"level {lv.index} (stride {lv.stride}) has spatial {h}x{w}, "
+                    f"level at stride {lv.stride} has spatial {h}x{w}, "
                     f"inconsistent with source resolution {base_h}x{base_w}"
                 )
             if n != base.tensor.dims[0]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import aggregate, aggregation_plan, plan_channels
-from .backbone import Backbone, BackboneConfig
+from .backbone import IN_CHANNELS, Backbone
 from .edge_attention import EdgeGuidedAttention
 from .errors import ContractError, DomainError
 from .levels import PyramidLevel, PyramidSet
@@ -33,9 +33,9 @@ def input_rng(seed):
     return np.random.default_rng([int(seed), 1])
 
 
-def noise_image(seed, height=256, width=256, dtype=np.float32, channels=3):
+def noise_image(seed, height=256, width=256, dtype=np.float32):
     """Seeded standard-normal image batch, the default synthetic input."""
-    data = input_rng(seed).standard_normal((1, channels, height, width))
+    data = input_rng(seed).standard_normal((1, IN_CHANNELS, height, width))
     return Tensor(data.astype(dtype))
 
 
@@ -57,16 +57,15 @@ class Network:
         self.fa_mode = fa_mode
         self.dtype = np.dtype(dtype)
         self.pyramid_width = pyramid_width
-        self.backbone = Backbone("backbone", rng, BackboneConfig(tuple(channels)), dtype)
+        self.backbone = Backbone("backbone", rng, channels, dtype)
         self.edge = EdgeGuidedAttention("edge", rng, channels[1], reduction, dtype)
 
         plan = aggregation_plan(fa_mode)
         fused_channels = plan_channels(plan, channels)
         self.wide = {}
         level_channels = []
-        for (index, stride, _), c_fused in zip(plan, fused_channels):
-            coarsest = index == plan[-1][0]
-            if coarsest:
+        for (stride, _), c_fused in zip(plan, fused_channels):
+            if stride == plan[-1][0]:  # the coarsest level bypasses the wide-field block
                 level_channels.append((stride, c_fused))
             else:
                 self.wide[stride] = WideFieldBlock(
@@ -121,10 +120,7 @@ class Network:
         named["edged.s4"] = f1t
         named["edged.s8"] = f2t
 
-        sources = PyramidSet(
-            [PyramidLevel(1, 4, f1t), PyramidLevel(2, 8, f2t)]
-            + [PyramidLevel(lv.index, lv.stride, lv.tensor) for lv in feats.levels[2:]]
-        )
+        sources = PyramidSet([PyramidLevel(4, f1t), PyramidLevel(8, f2t)] + feats.levels[2:])
         agg = aggregate(sources, self.fa_mode)
         stopwatch.lap("aggregate")
         for lv in agg:
@@ -132,12 +128,10 @@ class Network:
 
         refined_levels = []
         for lv in agg:
-            if lv.stride in self.wide:
-                t = self.wide[lv.stride](lv.tensor)
-                named[f"wide.s{lv.stride}"] = t
-            else:
-                t = lv.tensor  # coarsest level bypasses the wide-field block
-            refined_levels.append(PyramidLevel(lv.index, lv.stride, t))
+            if lv.stride in self.wide:  # not the coarsest level, which passes through
+                lv = PyramidLevel(lv.stride, self.wide[lv.stride](lv.tensor))
+                named[f"wide.s{lv.stride}"] = lv.tensor
+            refined_levels.append(lv)
         refined = PyramidSet(refined_levels)
         stopwatch.lap("wide")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .layers import Conv2d
 from .levels import PyramidLevel, PyramidSet
-from .tensor import ConvSpec, add, resample
+from .tensor import ConvSpec, add, up2_nearest
 
 
 class TopDownPyramid:
@@ -52,8 +52,8 @@ class TopDownPyramid:
         for lv in reversed(list(levels)):
             top = self.laterals[lv.stride](lv.tensor)
             if coarser is not None:
-                top = add(top, resample(coarser, "up2_nearest"))
+                top = add(top, up2_nearest(coarser))
             out = self.smooths[lv.stride](top)
             coarser = out
-            fused.append(PyramidLevel(lv.index, lv.stride, out))
+            fused.append(PyramidLevel(lv.stride, out))
         return PyramidSet(list(reversed(fused)))

@@ -23,7 +23,6 @@ from .layers import Conv2d
 from .tensor import ConvSpec, concat_channels, mul, relu
 
 BRANCH_WIDTH = 32
-BRANCH_COUNT = 5
 
 
 def receptive_extent(k):
@@ -51,9 +50,8 @@ class WideFieldBlock:
         self.c_in = c_in
         self.c_out = c_out
         point = ConvSpec()
-        self.branch1 = [Conv2d(name + ".br1.point", rng, c_in, BRANCH_WIDTH, (1, 1), point,
-                               dtype=dtype)]
-        self.branches = {1: self.branch1}
+        self.branches = {1: [Conv2d(name + ".br1.point", rng, c_in, BRANCH_WIDTH, (1, 1), point,
+                                    dtype=dtype)]}
         for k in (2, 3, 4):
             d = 2 * k - 1
             pad = d * (d - 1) // 2

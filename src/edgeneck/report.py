@@ -27,10 +27,9 @@ def tensor_stats(arr):
     }
 
 
-def build_report(config, named, timings=None, header=()):
+def build_report(config, named, timings=None):
     """Render config echo plus per-tensor statistics as report lines."""
-    lines = list(header)
-    lines.append(f"config.input={config.input}")
+    lines = [f"config.input={config.input}"]
     lines.append(f"config.seed={config.seed}")
     lines.append("config.channels=" + ",".join(str(c) for c in config.channels))
     lines.append(f"config.pyramid_width={config.pyramid_width}")

@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError, UsageError
 
-SUPPORTED_DTYPES = (np.float32, np.float64)
 DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
@@ -46,10 +45,8 @@ class Tensor:
         arr = np.asarray(data)
         if arr.ndim != 4:
             raise ContractError(f"tensor data must be 4-D (N,C,H,W), got shape {arr.shape}")
-        if arr.dtype.type not in SUPPORTED_DTYPES:
+        if arr.dtype not in DTYPE_NAMES:
             raise ContractError(f"unsupported element type {arr.dtype}; use float32 or float64")
-        if min(arr.shape) < 0:  # numpy cannot actually build these, but keep the contract explicit
-            raise ContractError(f"tensor dims must be non-negative, got {arr.shape}")
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if requires_grad else None
@@ -87,11 +84,6 @@ def _result(data, requires_grad):
     out.requires_grad = requires_grad
     out.grad = None
     return out
-
-
-def tensor(values, dtype=np.float32, requires_grad=False):
-    """Build a tensor from nested values, casting to the requested dtype."""
-    return Tensor(np.asarray(values, dtype=dtype), requires_grad=requires_grad)
 
 
 def zeros(dims, dtype=np.float32, requires_grad=False):
@@ -486,27 +478,60 @@ def _square_backward(rec, grad_out):
     return (grad_out * (2.0 * x.data),)
 
 
+def edge_magnitude(gx, gy):
+    """Pointwise sqrt(gx^2 + gy^2) with a zero gradient at exactly (0, 0).
+
+    A fused op: composing sqrt, add and square would send an infinite
+    factor through the chain where both inputs vanish, while the magnitude
+    itself has a well-defined (sub)gradient of zero there.
+    """
+    if gx.dims != gy.dims:
+        raise ContractError(f"edge_magnitude dims differ: {gx.dims} vs {gy.dims}")
+    mag = np.sqrt(gx.data * gx.data + gy.data * gy.data)
+    trace_branch(mag > 0)
+    out = _result(mag, gx.requires_grad or gy.requires_grad)
+    return _record("edge_magnitude", (gx, gy), out, value=mag)
+
+
+def _edge_magnitude_backward(rec, grad_out):
+    gx, gy = rec.inputs
+    mag = rec.saved["value"]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(mag > 0, grad_out / mag, grad_out.dtype.type(0))
+    ga = scale * gx.data if gx.requires_grad else None
+    gb = scale * gy.data if gy.requires_grad else None
+    return ga, gb
+
+
 # ---------------------------------------------------------------------------
 # Reductions and resampling
 # ---------------------------------------------------------------------------
 
-def global_pool(kind, x):
-    """Reduce over all H*W positions per sample and channel, to N x C x 1 x 1."""
+def _spatial_flat(x, op):
+    """``x`` as N x C x (H*W), refusing an empty spatial extent."""
     n, c, h, w = x.dims
     if h * w < 1:
-        raise DomainError(f"global_pool over empty spatial extent {h}x{w}")
-    flat = x.data.reshape(n, c, h * w)
-    if kind == "avg":
-        out_d = flat.mean(axis=2).reshape(n, c, 1, 1).astype(x.dtype, copy=False)
-        out = _result(out_d, x.requires_grad)
-        return _record("global_avg_pool", (x,), out)
-    if kind == "max":
-        idx = flat.argmax(axis=2)  # first maximal position in scan order
-        trace_branch(idx)
-        out_d = np.take_along_axis(flat, idx[:, :, None], axis=2).reshape(n, c, 1, 1)
-        out = _result(out_d, x.requires_grad)
-        return _record("global_max_pool", (x,), out, idx=idx)
-    raise UsageError(f"unknown pool kind {kind!r}; expected 'avg' or 'max'")
+        raise DomainError(f"{op} over empty spatial extent {h}x{w}")
+    return x.data.reshape(n, c, h * w)
+
+
+def global_avg_pool(x):
+    """Average over all H*W positions per sample and channel, to N x C x 1 x 1."""
+    n, c = x.dims[:2]
+    out_d = _spatial_flat(x, "global_avg_pool").mean(axis=2).reshape(n, c, 1, 1)
+    out = _result(out_d.astype(x.dtype, copy=False), x.requires_grad)
+    return _record("global_avg_pool", (x,), out)
+
+
+def global_max_pool(x):
+    """Maximum over all H*W positions per sample and channel, to N x C x 1 x 1."""
+    n, c = x.dims[:2]
+    flat = _spatial_flat(x, "global_max_pool")
+    idx = flat.argmax(axis=2)  # first maximal position in scan order
+    trace_branch(idx)
+    out_d = np.take_along_axis(flat, idx[:, :, None], axis=2).reshape(n, c, 1, 1)
+    out = _result(out_d, x.requires_grad)
+    return _record("global_max_pool", (x,), out, idx=idx)
 
 
 def _global_avg_pool_backward(rec, grad_out):
@@ -524,24 +549,25 @@ def _global_max_pool_backward(rec, grad_out):
     return (flat.reshape(n, c, h, w),)
 
 
-def resample(x, mode):
-    """up2_nearest doubles H,W by replication; down2_max halves via 2x2 stride-2 max."""
+def up2_nearest(x):
+    """Double H and W by replicating each pixel into a 2x2 block."""
+    out_d = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
+    out = _result(out_d, x.requires_grad)
+    return _record("up2_nearest", (x,), out)
+
+
+def down2_max(x):
+    """Halve H and W by a 2x2, stride-2 max."""
     n, c, h, w = x.dims
-    if mode == "up2_nearest":
-        out_d = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-        out = _result(out_d, x.requires_grad)
-        return _record("up2_nearest", (x,), out)
-    if mode == "down2_max":
-        if h % 2 or w % 2:
-            raise ShapeError(f"down2_max needs even spatial dims, got {h}x{w}")
-        blocks = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-        flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-        idx = flat.argmax(axis=4)  # first maximal element per block, row-major
-        trace_branch(idx)
-        out_d = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
-        out = _result(np.ascontiguousarray(out_d), x.requires_grad)
-        return _record("down2_max", (x,), out, idx=idx)
-    raise UsageError(f"unknown resample mode {mode!r}")
+    if h % 2 or w % 2:
+        raise ShapeError(f"down2_max needs even spatial dims, got {h}x{w}")
+    blocks = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
+    flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
+    idx = flat.argmax(axis=4)  # first maximal element per block, row-major
+    trace_branch(idx)
+    out_d = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
+    out = _result(np.ascontiguousarray(out_d), x.requires_grad)
+    return _record("down2_max", (x,), out, idx=idx)
 
 
 def _up2_nearest_backward(rec, grad_out):
@@ -657,6 +683,7 @@ BACKWARD = {
     "relu": _relu_backward,
     "sigmoid": _sigmoid_backward,
     "square": _square_backward,
+    "edge_magnitude": _edge_magnitude_backward,
     "global_avg_pool": _global_avg_pool_backward,
     "global_max_pool": _global_max_pool_backward,
     "up2_nearest": _up2_nearest_backward,

@@ -1,26 +1,30 @@
 """Gradient-check suites over primitives, blocks, and the full pipeline.
 
 Every check pairs a label with a thunk returning a
-:class:`~edgeneck.gradcheck.GradCheckReport`.  Block checks rebind the
-block's parameters to the checker's float64 leaves inside the closure,
-so the real block code path is differentiated, not a re-implementation.
+:class:`~edgeneck.gradcheck.GradCheckReport`.  A check that owns a block
+lists the block's parameters as inputs after its own and rebinds them to
+the checker's float64 leaves on every evaluation, so the real block code
+path is differentiated, not a re-implementation.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .aggregation import aggregate
 from .backbone import STRIDES
-from .edge_attention import ChannelAttention, EdgeGuidedAttention, edge_magnitude, edge_map
+from .edge_attention import ChannelAttention, EdgeGuidedAttention, edge_map
 from .gradcheck import grad_check
 from .levels import PyramidLevel, PyramidSet
 from .network import Network, noise_image
 from .pyramid import TopDownPyramid
 from .receptive_field import WideFieldBlock
 from .tensor import (
-    ConvSpec, add, channel_mean, concat_channels, conv2d, global_pool, mul,
-    relu, replicate_pad, resample, sigmoid, square, sum_all,
+    ConvSpec, add, channel_mean, concat_channels, conv2d, down2_max,
+    edge_magnitude, global_avg_pool, global_max_pool, mul, relu,
+    replicate_pad, sigmoid, square, sum_all, up2_nearest,
 )
 
 SCOPES = ("ops", "blocks", "all")
@@ -31,10 +35,6 @@ def _rng(seed, label):
     return np.random.default_rng([int(seed)] + mix.tolist())
 
 
-def _normal(rng, dims):
-    return rng.standard_normal(dims)
-
-
 def _loss(*tensors):
     total = sum_all(tensors[0])
     for t in tensors[1:]:
@@ -42,170 +42,112 @@ def _loss(*tensors):
     return total
 
 
+def _levels(strides, tensors):
+    return PyramidSet(map(PyramidLevel, strides, tensors))
+
+
+def _bound(params, loss):
+    """``loss`` of the leading arguments, with ``params`` rebound to the trailing ones."""
+    def fn(*args):
+        lead = len(args) - len(params)
+        for p, v in zip(params, args[lead:]):
+            p.value = v
+        return loss(*args[:lead])
+    return fn
+
+
+def _case(label, seed, dims, loss, coords, block=None, masks=None):
+    """One check: ``loss`` over standard-normal inputs of ``dims``, then the block's parameters.
+
+    Everything is drawn from the stream named by the label without its
+    ``op.``/``block.`` prefix: the block (built by ``block(rng)``) first,
+    then the inputs in order.  ``loss`` takes the block, when there is
+    one, then the inputs.  ``masks`` maps the inputs to probe masks.
+    """
+    key = label.split(".", 1)[1]
+    rng = _rng(seed, key)
+    params = []
+    if block is not None:
+        block = block(rng)
+        params = block.parameters()
+        loss = functools.partial(loss, block)
+    inputs = {name: rng.standard_normal(d) for name, d in dims.items()}
+    inputs.update((p.name, p.value) for p in params)
+    fn = _bound(params, loss)
+
+    def run():
+        return grad_check(fn, inputs, max_coords=coords, rng=_rng(seed, key + ".pick"),
+                          probe_masks=masks(inputs) if masks else None)
+    return label, run
+
+
+def _edge_masks(ins):
+    # probe only away from the magnitude's kink at (0, 0)
+    away = ins["gx"] ** 2 + ins["gy"] ** 2 > 0.04
+    return {"gx": away, "gy": away}
+
+
 def op_checks(seed=1):
-    checks = []
-
-    def check(label, make):
-        checks.append((f"op.{label}", make))
-
-    def conv_case(label, x_dims, w_dims, spec):
-        rng = _rng(seed, label)
-        inputs = {
-            "x": _normal(rng, x_dims),
-            "w": _normal(rng, w_dims),
-            "b": _normal(rng, (1, w_dims[0], 1, 1)),
-        }
-        def run():
-            return grad_check(
-                lambda x, w, b: sum_all(conv2d(x, w, b, spec)),
-                inputs, max_coords=24, rng=_rng(seed, label + ".pick"))
-        check(label, run)
-
-    conv_case("conv2d.basic", (1, 2, 5, 5), (3, 2, 3, 3), ConvSpec(padding=(1, 1)))
-    conv_case("conv2d.strided", (1, 3, 7, 6), (4, 3, 3, 3),
-              ConvSpec(stride=(2, 1), padding=(2, 1), dilation=(1, 2)))
-    conv_case("conv2d.pointwise", (2, 6, 1, 1), (4, 6, 1, 1), ConvSpec())
-
-    def simple(label, dims_map, fn, masks=None, coords=24):
-        rng = _rng(seed, label)
-        inputs = {k: _normal(rng, dims) for k, dims in dims_map.items()}
-        def run():
-            probe_masks = masks(inputs) if masks else None
-            return grad_check(fn, inputs, max_coords=coords,
-                              rng=_rng(seed, label + ".pick"), probe_masks=probe_masks)
-        check(label, run)
-
-    simple("add.broadcast", {"a": (2, 3, 4, 4), "b": (1, 3, 1, 1)},
-           lambda a, b: sum_all(square(add(a, b))))
-    simple("mul.broadcast", {"a": (1, 4, 3, 3), "b": (1, 1, 3, 3)},
-           lambda a, b: sum_all(mul(a, b)))
-    simple("relu", {"x": (1, 3, 4, 4)},
-           lambda x: sum_all(square(relu(x))),
-           masks=lambda ins: {"x": np.abs(ins["x"]) > 0.1})
-    simple("sigmoid.chain", {"x": (1, 2, 3, 3), "y": (1, 2, 3, 3)},
-           lambda x, y: sum_all(sigmoid(add(mul(x, y), y))))
-    simple("square", {"x": (2, 2, 3, 3)}, lambda x: sum_all(square(x)))
-    simple("global_avg_pool", {"x": (2, 3, 4, 5)},
-           lambda x: sum_all(square(global_pool("avg", x))))
-    simple("global_max_pool", {"x": (2, 3, 4, 5)},
-           lambda x: sum_all(square(global_pool("max", x))))
-    simple("up2_nearest", {"x": (1, 2, 3, 3)},
-           lambda x: sum_all(square(resample(x, "up2_nearest"))))
-    simple("down2_max", {"x": (1, 2, 4, 6)},
-           lambda x: sum_all(square(resample(x, "down2_max"))))
-    simple("replicate_pad", {"x": (1, 2, 3, 4)},
-           lambda x: sum_all(square(replicate_pad(x))))
-    simple("channel_mean", {"x": (2, 5, 3, 3)},
-           lambda x: sum_all(square(channel_mean(x))))
-    simple("concat_channels", {"a": (1, 2, 3, 3), "b": (1, 3, 3, 3)},
-           lambda a, b: sum_all(square(concat_channels([a, b]))))
-    simple("edge_magnitude", {"gx": (1, 1, 4, 4), "gy": (1, 1, 4, 4)},
-           lambda gx, gy: sum_all(edge_magnitude(gx, gy)),
-           masks=lambda ins: {
-               "gx": ins["gx"] ** 2 + ins["gy"] ** 2 > 0.04,
-               "gy": ins["gx"] ** 2 + ins["gy"] ** 2 > 0.04,
-           })
-    return checks
+    padded = ConvSpec(padding=(1, 1))
+    strided = ConvSpec(stride=(2, 1), padding=(2, 1), dilation=(1, 2))
+    return [
+        _case("op.conv2d.basic", seed, {"x": (1, 2, 5, 5), "w": (3, 2, 3, 3), "b": (1, 3, 1, 1)},
+              lambda x, w, b: sum_all(conv2d(x, w, b, padded)), 24),
+        _case("op.conv2d.strided", seed,
+              {"x": (1, 3, 7, 6), "w": (4, 3, 3, 3), "b": (1, 4, 1, 1)},
+              lambda x, w, b: sum_all(conv2d(x, w, b, strided)), 24),
+        _case("op.conv2d.pointwise", seed,
+              {"x": (2, 6, 1, 1), "w": (4, 6, 1, 1), "b": (1, 4, 1, 1)},
+              lambda x, w, b: sum_all(conv2d(x, w, b)), 24),
+        _case("op.add.broadcast", seed, {"a": (2, 3, 4, 4), "b": (1, 3, 1, 1)},
+              lambda a, b: sum_all(square(add(a, b))), 24),
+        _case("op.mul.broadcast", seed, {"a": (1, 4, 3, 3), "b": (1, 1, 3, 3)},
+              lambda a, b: sum_all(mul(a, b)), 24),
+        _case("op.relu", seed, {"x": (1, 3, 4, 4)}, lambda x: sum_all(square(relu(x))), 24,
+              masks=lambda ins: {"x": np.abs(ins["x"]) > 0.1}),
+        _case("op.sigmoid.chain", seed, {"x": (1, 2, 3, 3), "y": (1, 2, 3, 3)},
+              lambda x, y: sum_all(sigmoid(add(mul(x, y), y))), 24),
+        _case("op.square", seed, {"x": (2, 2, 3, 3)}, lambda x: sum_all(square(x)), 24),
+        _case("op.global_avg_pool", seed, {"x": (2, 3, 4, 5)},
+              lambda x: sum_all(square(global_avg_pool(x))), 24),
+        _case("op.global_max_pool", seed, {"x": (2, 3, 4, 5)},
+              lambda x: sum_all(square(global_max_pool(x))), 24),
+        _case("op.up2_nearest", seed, {"x": (1, 2, 3, 3)},
+              lambda x: sum_all(square(up2_nearest(x))), 24),
+        _case("op.down2_max", seed, {"x": (1, 2, 4, 6)},
+              lambda x: sum_all(square(down2_max(x))), 24),
+        _case("op.replicate_pad", seed, {"x": (1, 2, 3, 4)},
+              lambda x: sum_all(square(replicate_pad(x))), 24),
+        _case("op.channel_mean", seed, {"x": (2, 5, 3, 3)},
+              lambda x: sum_all(square(channel_mean(x))), 24),
+        _case("op.concat_channels", seed, {"a": (1, 2, 3, 3), "b": (1, 3, 3, 3)},
+              lambda a, b: sum_all(square(concat_channels([a, b]))), 24),
+        _case("op.edge_magnitude", seed, {"gx": (1, 1, 4, 4), "gy": (1, 1, 4, 4)},
+              lambda gx, gy: sum_all(edge_magnitude(gx, gy)), 24, masks=_edge_masks),
+    ]
 
 
 def block_checks(seed=1):
-    checks = []
-
-    def check(label, make):
-        checks.append((f"block.{label}", make))
-
-    def sobel_case():
-        rng = _rng(seed, "deep_sobel")
-        inputs = {"x": _normal(rng, (1, 3, 6, 6))}
-        def run():
-            return grad_check(lambda x: sum_all(edge_map(x)), inputs,
-                              max_coords=40, rng=_rng(seed, "deep_sobel.pick"))
-        check("deep_sobel", run)
-
-    def gate_case():
-        rng = _rng(seed, "channel_gate")
-        gate = ChannelAttention("check.gate", rng, 8, 4, np.float64)
-        inputs = {"x": _normal(rng, (1, 8, 4, 4)),
-                  "w0": gate.w0.value, "w1": gate.w1.value}
-        def fn(x, w0, w1):
-            gate.w0.value = w0
-            gate.w1.value = w1
-            return sum_all(square(gate(x)))
-        def run():
-            return grad_check(fn, inputs, max_coords=24,
-                              rng=_rng(seed, "channel_gate.pick"))
-        check("channel_gate", run)
-
-    def ega_case():
-        rng = _rng(seed, "edge_attention")
-        block = EdgeGuidedAttention("check.edge", rng, 4, 2, np.float64)
-        inputs = {"f1": _normal(rng, (1, 2, 8, 8)), "f2": _normal(rng, (1, 4, 4, 4)),
-                  "w0": block.gate.w0.value, "w1": block.gate.w1.value}
-        def fn(f1, f2, w0, w1):
-            block.gate.w0.value = w0
-            block.gate.w1.value = w1
-            return _loss(*block(f1, f2))
-        def run():
-            return grad_check(fn, inputs, max_coords=16,
-                              rng=_rng(seed, "edge_attention.pick"))
-        check("edge_attention", run)
-
-    def aggregate_case():
-        rng = _rng(seed, "aggregate")
-        dims = {"x1": (1, 2, 16, 16), "x2": (1, 3, 8, 8), "x3": (1, 4, 4, 4),
-                "x4": (1, 5, 2, 2), "x5": (1, 6, 1, 1)}
-        inputs = {k: _normal(rng, d) for k, d in dims.items()}
-        def fn(x1, x2, x3, x4, x5):
-            feats = PyramidSet([
-                PyramidLevel(i + 1, STRIDES[i], t)
-                for i, t in enumerate((x1, x2, x3, x4, x5))
-            ])
-            return _loss(*aggregate(feats, "full").tensors())
-        def run():
-            return grad_check(fn, inputs, max_coords=12,
-                              rng=_rng(seed, "aggregate.pick"))
-        check("aggregate", run)
-
-    def wide_case():
-        rng = _rng(seed, "wide_field")
-        block = WideFieldBlock("check.wide", rng, 3, 4, np.float64)
-        params = block.parameters()
-        inputs = {"x": _normal(rng, (1, 3, 9, 9))}
-        inputs.update({p.name: p.value for p in params})
-        def fn(x, *values):
-            for p, v in zip(params, values):
-                p.value = v
-            return sum_all(block(x))
-        def run():
-            return grad_check(fn, inputs, max_coords=3,
-                              rng=_rng(seed, "wide_field.pick"))
-        check("wide_field", run)
-
-    def pyramid_case():
-        rng = _rng(seed, "pyramid")
-        block = TopDownPyramid("check.pyr", rng, [(8, 3), (16, 4), (32, 5)], 6, np.float64)
-        params = block.parameters()
-        inputs = {"x1": _normal(rng, (1, 3, 8, 8)), "x2": _normal(rng, (1, 4, 4, 4)),
-                  "x3": _normal(rng, (1, 5, 2, 2))}
-        inputs.update({p.name: p.value for p in params})
-        def fn(x1, x2, x3, *values):
-            for p, v in zip(params, values):
-                p.value = v
-            levels = PyramidSet([PyramidLevel(1, 8, x1), PyramidLevel(2, 16, x2),
-                                 PyramidLevel(3, 32, x3)])
-            return _loss(*block(levels).tensors())
-        def run():
-            return grad_check(fn, inputs, max_coords=4,
-                              rng=_rng(seed, "pyramid.pick"))
-        check("pyramid", run)
-
-    sobel_case()
-    gate_case()
-    ega_case()
-    aggregate_case()
-    wide_case()
-    pyramid_case()
-    return checks
+    return [
+        _case("block.deep_sobel", seed, {"x": (1, 3, 6, 6)}, lambda x: sum_all(edge_map(x)), 40),
+        _case("block.channel_gate", seed, {"x": (1, 8, 4, 4)},
+              lambda gate, x: sum_all(square(gate(x))), 24,
+              block=lambda rng: ChannelAttention("check.gate", rng, 8, 4, np.float64)),
+        _case("block.edge_attention", seed, {"f1": (1, 2, 8, 8), "f2": (1, 4, 4, 4)},
+              lambda edge, f1, f2: _loss(*edge(f1, f2)), 16,
+              block=lambda rng: EdgeGuidedAttention("check.edge", rng, 4, 2, np.float64)),
+        _case("block.aggregate", seed,
+              {"x1": (1, 2, 16, 16), "x2": (1, 3, 8, 8), "x3": (1, 4, 4, 4),
+               "x4": (1, 5, 2, 2), "x5": (1, 6, 1, 1)},
+              lambda *xs: _loss(*aggregate(_levels(STRIDES, xs), "full").tensors()), 12),
+        _case("block.wide_field", seed, {"x": (1, 3, 9, 9)},
+              lambda wide, x: sum_all(wide(x)), 3,
+              block=lambda rng: WideFieldBlock("check.wide", rng, 3, 4, np.float64)),
+        _case("block.pyramid", seed, {"x1": (1, 3, 8, 8), "x2": (1, 4, 4, 4), "x3": (1, 5, 2, 2)},
+              lambda pyr, *xs: _loss(*pyr(_levels((8, 16, 32), xs)).tensors()), 4,
+              block=lambda rng: TopDownPyramid("check.pyr", rng, [(8, 3), (16, 4), (32, 5)], 6,
+                                               np.float64)),
+    ]
 
 
 def pipeline_check(seed=1, channels=(4, 8, 8, 16, 16), pyramid_width=8,
@@ -215,15 +157,10 @@ def pipeline_check(seed=1, channels=(4, 8, 8, 16, 16), pyramid_width=8,
         net = Network(seed=seed, channels=channels, pyramid_width=pyramid_width,
                       fa_mode="full", reduction=reduction, dtype=np.float64)
         params = net.parameters()
-        image = noise_image(seed, hw, hw, np.float64)
-        inputs = {"image": image}
-        inputs.update({p.name: p.value for p in params})
-        def fn(image, *values):
-            for p, v in zip(params, values):
-                p.value = v
-            return _loss(*net.forward(image).outputs.tensors())
-        return grad_check(fn, inputs, max_coords=max_coords,
-                          rng=_rng(seed, "pipeline.pick"))
+        inputs = {"image": noise_image(seed, hw, hw, np.float64)}
+        inputs.update((p.name, p.value) for p in params)
+        fn = _bound(params, lambda image: _loss(*net.forward(image).outputs.tensors()))
+        return grad_check(fn, inputs, max_coords=max_coords, rng=_rng(seed, "pipeline.pick"))
     return [("pipeline.full", run)]
 
 

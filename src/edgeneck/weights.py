@@ -23,13 +23,13 @@ import struct
 import numpy as np
 
 from .errors import FormatError, LoadError
+from .tensor import DTYPE_NAMES
 
 MAGIC = b"ERLW"
 VERSION = 1
 
 _DTYPE_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_DTYPE_LABEL = {0: "f32", 1: "f64"}
 
 
 def pack_entries(entries):
@@ -142,8 +142,8 @@ def load_into_parameters(params, entries):
                 f"{name}: container dims {tuple(arr.shape)} != model dims {tuple(value.dims)}"
             )
         if arr.dtype != value.dtype:
-            have = _DTYPE_LABEL[_DTYPE_CODE[np.dtype(arr.dtype)]]
-            want = _DTYPE_LABEL[_DTYPE_CODE[np.dtype(value.dtype)]]
+            have = DTYPE_NAMES[arr.dtype]
+            want = value.dtype_name
             raise LoadError(
                 f"{name}: container holds {have} but the model runs {want}; "
                 f"conversion is refused, rebuild with dtype={have}"

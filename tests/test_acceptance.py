@@ -101,7 +101,7 @@ def test_channel_contract_and_ablation(criterion):
                 data = rng.standard_normal((1, c, 64 >> i, 64 >> i))
                 if stride == bump_stride:
                     data = data + 1.0
-                levels.append(en.PyramidLevel(i + 1, stride, en.Tensor(data)))
+                levels.append(en.PyramidLevel(stride, en.Tensor(data)))
             return en.PyramidSet(levels)
 
         def moved_by(mode, bump_stride):
@@ -151,7 +151,7 @@ def test_topdown_contract(criterion):
                 data = rng.standard_normal((1, c, 32 >> i, 32 >> i))
                 if stride == bump_stride:
                     data = data + 1.0
-                out.append(en.PyramidLevel(i + 1, stride, en.Tensor(data)))
+                out.append(en.PyramidLevel(stride, en.Tensor(data)))
             return en.PyramidSet(out)
 
         base_in = levels()

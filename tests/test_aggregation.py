@@ -15,7 +15,7 @@ def make_set(channels=(16, 32, 64, 128, 256), base=64, batch=1, seed=0,
     for i, (stride, c) in enumerate(zip(SOURCE_STRIDES, channels)):
         hw = base >> i
         data = rng.standard_normal((batch, c, hw, hw)).astype(dtype)
-        levels.append(en.PyramidLevel(i + 1, stride, en.Tensor(data, requires_grad)))
+        levels.append(en.PyramidLevel(stride, en.Tensor(data, requires_grad)))
     return en.PyramidSet(levels)
 
 
@@ -28,16 +28,16 @@ class TestPlan:
 
     def test_full_strides(self):
         plan = aggregation_plan("full")
-        assert tuple(stride for _, stride, _ in plan) == (8, 16, 32, 64)
+        assert tuple(stride for stride, _ in plan) == (8, 16, 32, 64)
 
     def test_low3_structure(self):
         plan = aggregation_plan("low3")
-        assert tuple(stride for _, stride, _ in plan) == (8, 16)
+        assert tuple(stride for stride, _ in plan) == (8, 16)
         assert plan_channels(plan, (16, 32, 64, 128, 256)) == (48, 96)
 
     def test_high3_structure(self):
         plan = aggregation_plan("high3")
-        assert tuple(stride for _, stride, _ in plan) == (16, 32, 64)
+        assert tuple(stride for stride, _ in plan) == (16, 32, 64)
         assert plan_channels(plan, (16, 32, 64, 128, 256)) == (192, 384, 256)
 
     def test_unknown_mode(self):
@@ -55,7 +55,7 @@ class TestAggregateFull:
 
     def test_zero_in_zero_out(self):
         feats = en.PyramidSet([
-            en.PyramidLevel(i + 1, s, en.zeros((1, c, 64 >> i, 64 >> i)))
+            en.PyramidLevel(s, en.zeros((1, c, 64 >> i, 64 >> i)))
             for i, (s, c) in enumerate(zip(SOURCE_STRIDES, (4, 8, 8, 16, 16)))
         ])
         for lv in en.aggregate(feats):
@@ -66,15 +66,15 @@ class TestAggregateFull:
         merged = en.aggregate(feats)
         f1, f2, f3, f4, f5 = feats.tensors()
         fa1 = merged.by_stride(8).tensor
-        assert np.array_equal(fa1.data[:, 0:4], en.resample(f1, "down2_max").data)
+        assert np.array_equal(fa1.data[:, 0:4], en.down2_max(f1).data)
         assert np.array_equal(fa1.data[:, 4:12], f2.data)
         fa2 = merged.by_stride(16).tensor
-        assert np.array_equal(fa2.data[:, 0:8], en.resample(f2, "down2_max").data)
+        assert np.array_equal(fa2.data[:, 0:8], en.down2_max(f2).data)
         assert np.array_equal(fa2.data[:, 8:24], f3.data)
-        assert np.array_equal(fa2.data[:, 24:56], en.resample(f4, "up2_nearest").data)
+        assert np.array_equal(fa2.data[:, 24:56], en.up2_nearest(f4).data)
         fa3 = merged.by_stride(32).tensor
         assert np.array_equal(fa3.data[:, 0:32], f4.data)
-        assert np.array_equal(fa3.data[:, 32:96], en.resample(f5, "up2_nearest").data)
+        assert np.array_equal(fa3.data[:, 32:96], en.up2_nearest(f5).data)
         assert np.array_equal(merged.by_stride(64).tensor.data, f5.data)
 
     def test_locality_of_mid_feature(self):
@@ -84,7 +84,7 @@ class TestAggregateFull:
             data = lv.tensor.data.copy()
             if lv.stride == 16:
                 data += 1.0
-            bumped_levels.append(en.PyramidLevel(lv.index, lv.stride, en.Tensor(data)))
+            bumped_levels.append(en.PyramidLevel(lv.stride, en.Tensor(data)))
         a = en.aggregate(base)
         b = en.aggregate(en.PyramidSet(bumped_levels))
         changed = [lv.stride for lv, other in zip(a, b)
@@ -124,7 +124,7 @@ class TestAblationModes:
             data = lv.tensor.data
             if lv.stride == stride:
                 data = data + rng.standard_normal(data.shape)
-            levels.append(en.PyramidLevel(lv.index, lv.stride, en.Tensor(data)))
+            levels.append(en.PyramidLevel(lv.stride, en.Tensor(data)))
         return en.PyramidSet(levels)
 
     def test_low3_ignores_coarse_inputs(self):

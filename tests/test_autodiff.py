@@ -110,7 +110,7 @@ def test_broadcast_add_reduces_gradient():
 def test_max_pool_routes_to_first_maximum():
     x = en.Tensor(np.asarray([[[[1.0, 5.0], [5.0, 0.0]]]]), requires_grad=True)
     with en.Tape() as tape:
-        loss = en.sum_all(en.global_pool("max", x))
+        loss = en.sum_all(en.global_max_pool(x))
     en.backward(tape, loss)
     assert np.array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
 
@@ -118,7 +118,7 @@ def test_max_pool_routes_to_first_maximum():
 def test_down2_max_ties_go_to_first_in_scan_order():
     x = en.Tensor(np.full((1, 1, 2, 2), 3.0), requires_grad=True)
     with en.Tape() as tape:
-        loss = en.sum_all(en.resample(x, "down2_max"))
+        loss = en.sum_all(en.down2_max(x))
     en.backward(tape, loss)
     assert np.array_equal(x.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 

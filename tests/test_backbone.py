@@ -8,8 +8,8 @@ from edgeneck.backbone import STRIDES
 from edgeneck.errors import ContractError, ShapeError
 
 
-def make_backbone(seed=0, cfg=None, dtype=np.float64):
-    return en.Backbone("t.bb", np.random.default_rng(seed), cfg, dtype)
+def make_backbone(seed=0, channels=(16, 32, 64, 128, 256), dtype=np.float64):
+    return en.Backbone("t.bb", np.random.default_rng(seed), channels, dtype)
 
 
 def image(h=256, w=256, seed=1, dtype=np.float64):
@@ -30,15 +30,14 @@ class TestContract:
             [(32, 48), (16, 24), (8, 12), (4, 6), (2, 3)]
 
     def test_custom_channels(self):
-        cfg = en.BackboneConfig(channels=(4, 8, 8, 16, 16))
-        feats = make_backbone(cfg=cfg)(image(64, 64))
+        feats = make_backbone(channels=(4, 8, 8, 16, 16))(image(64, 64))
         assert feats.channels == (4, 8, 8, 16, 16)
 
     def test_bad_channel_plan(self):
         with pytest.raises(ContractError):
-            en.BackboneConfig(channels=(4, 8, 8))
+            make_backbone(channels=(4, 8, 8))
         with pytest.raises(ContractError):
-            en.BackboneConfig(channels=(4, 8, 0, 16, 16))
+            make_backbone(channels=(4, 8, 0, 16, 16))
 
 
 class TestBehavior:

@@ -148,6 +148,16 @@ class TestForward:
         code, _, err = run_cli("forward", "--config", cfg)
         assert code == 2 and "rainbows" in err
 
+    def test_image_path_starting_with_noise(self, run_cli, tmp_path, monkeypatch):
+        pixels = np.random.default_rng(3).integers(0, 256, (64, 64, 3), dtype=np.uint8)
+        write_color(tmp_path / "noise_img.ppm", pixels)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("noise:64x64", "noise_img.ppm"))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli("forward", "--config", cfg)
+        assert code == 0, err
+        assert parse_report(out)["config.input"] == "noise_img.ppm"
+
     def test_forward_with_weights_roundtrip(self, run_cli, small_cfg, tmp_path):
         box = tmp_path / "w.erlw"
         assert run_cli("weights", "dump", box, "--config", small_cfg)[0] == 0
@@ -238,3 +248,8 @@ class TestUsage:
 
     def test_bad_scope_value(self, run_cli):
         assert run_cli("gradcheck", "--scope", "everything")[0] == 2
+
+    def test_negative_seed_exits_2(self, run_cli, small_cfg):
+        for argv in (("gradcheck", "--seed", -1), ("forward", "--config", small_cfg, "--seed", -1)):
+            code, _, err = run_cli(*argv)
+            assert code == 2 and "--seed" in err

@@ -62,6 +62,10 @@ class TestValidation:
     def test_bad_ints(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config("seed=soon\n")
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config("seed=-1\n")
         with pytest.raises(ConfigError, match="pyramid_width"):
             parse_config("pyramid_width=0\n")
         with pytest.raises(ConfigError, match="reduction_ratio"):
@@ -95,6 +99,10 @@ class TestNoiseSize:
     def test_explicit(self):
         assert noise_size("noise:128x192") == (128, 192)
         assert noise_size("noise:64X64") == (64, 64)
+
+    def test_image_path_is_not_noise(self):
+        assert noise_size("noise_img.ppm") is None
+        assert noise_size("images/noise.pgm") is None
 
 
 class TestOverride:

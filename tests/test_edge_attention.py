@@ -32,7 +32,7 @@ class TestDeepSobel:
         assert not gx.data.any() and not gy.data.any()
 
     def test_row_gradient_center(self):
-        x = en.tensor([[[[0, 1, 2]] * 3]], np.float64)
+        x = en.Tensor(np.asarray([[[[0, 1, 2]] * 3]], np.float64))
         gx, gy = en.deep_sobel(x)
         assert gx.data[0, 0, 1, 1] == -8.0
         assert gy.data[0, 0, 1, 1] == 0.0

@@ -60,7 +60,7 @@ def test_kink_straddling_probes_are_skipped():
 def test_pool_argmax_flip_is_guarded():
     # two near-tied elements: probing either straddles the argmax flip
     x = np.asarray([[[[1.0, 1.0 + 1e-4], [0.0, 0.0]]]])
-    report = grad_check(lambda t: en.sum_all(en.global_pool("max", t)), {"x": x}, eps=1e-3)
+    report = grad_check(lambda t: en.sum_all(en.global_max_pool(t)), {"x": x}, eps=1e-3)
     assert report.entries[0].skipped >= 2
     assert report.ok
 
@@ -133,6 +133,23 @@ def test_re_estimate_still_catches_a_small_bug(monkeypatch):
     monkeypatch.setitem(BACKWARD, "sigmoid", lambda rec, g: (original(rec, g)[0] * (1 + 1e-3),))
     x = np.linspace(-0.12, 0.12, 6).reshape(1, 1, 2, 3)
     assert not grad_check(_steep_sigmoid, {"x": x}).ok
+
+
+def test_op_checks_reach_every_backward_rule(monkeypatch):
+    """Coverage from what the op checks run: every backward rule is called."""
+    calls = dict.fromkeys(BACKWARD, 0)
+
+    def counted(op, rule):
+        def wrapper(rec, grad_out):
+            calls[op] += 1
+            return rule(rec, grad_out)
+        return wrapper
+
+    for op, rule in list(BACKWARD.items()):
+        monkeypatch.setitem(BACKWARD, op, counted(op, rule))
+    for _, thunk in op_checks(1):
+        thunk()
+    assert [op for op, n in calls.items() if n == 0] == []
 
 
 def test_edge_blocks_pass_at_seeds_1_to_20():

@@ -15,7 +15,7 @@ def make_levels(channels=(6, 10, 14, 18), base=32, seed=0, bump=None):
         data = rng.standard_normal((1, c, hw, hw))
         if bump == stride:
             data = data + 1.0
-        levels.append(en.PyramidLevel(i + 1, stride, en.Tensor(data)))
+        levels.append(en.PyramidLevel(stride, en.Tensor(data)))
     return en.PyramidSet(levels)
 
 
@@ -36,7 +36,7 @@ class TestShapes:
     def test_zero_inputs_zero_outputs(self):
         pyr = make_pyramid()
         zeros = en.PyramidSet([
-            en.PyramidLevel(i + 1, 8 << i, en.zeros((1, c, 32 >> i, 32 >> i), np.float64))
+            en.PyramidLevel(8 << i, en.zeros((1, c, 32 >> i, 32 >> i), np.float64))
             for i, c in enumerate((6, 10, 14, 18))
         ])
         for lv in pyr(zeros):

@@ -1,18 +1,14 @@
 """Forward contracts of the tensor core: shapes, values, errors."""
 
-import importlib
-
 import numpy as np
 import pytest
 
 import edgeneck as en
+import edgeneck.tensor as tensor_core
 from edgeneck.errors import ContractError, DomainError, ShapeError
 from edgeneck.gradcheck import grad_check
 
 from reference import conv2d_reference, linear_reference
-
-# the module, not the `tensor` constructor the package re-exports
-tensor_core = importlib.import_module("edgeneck.tensor")
 
 
 def rng(seed=0):
@@ -46,6 +42,11 @@ class TestTensorType:
     def test_rejects_integer_buffers(self):
         with pytest.raises(ContractError):
             en.Tensor(np.zeros((1, 1, 2, 2), np.int32))
+
+    def test_rejects_non_native_byte_order(self):
+        # a byte-swapped float32 buffer used to build, then break dtype_name and repr
+        with pytest.raises(ContractError):
+            en.Tensor(np.zeros((1, 1, 2, 2), np.dtype(np.float32).newbyteorder()))
 
     def test_zero_dim_is_valid_and_empty(self):
         t = en.zeros((1, 0, 4, 4))
@@ -92,7 +93,7 @@ class TestConv2d:
         assert y.data[0, 0, 1, 1] == 0.0
 
     def test_row_gradient_single_value(self):
-        x = en.tensor([[[[0, 1, 2]] * 3]], np.float64)
+        x = en.Tensor(np.asarray([[[[0, 1, 2]] * 3]], np.float64))
         w = en.Tensor(np.asarray(en.SOBEL_X, np.float64).reshape(1, 1, 3, 3))
         y = en.conv2d(x, w)
         assert y.dims == (1, 1, 1, 1)
@@ -164,7 +165,7 @@ class TestElementwise:
         assert np.all(en.sigmoid(en.zeros((1, 2, 2, 2))).data == 0.5)
 
     def test_sigmoid_saturation_is_finite(self):
-        y = en.sigmoid(en.tensor([[[[-500.0, 500.0]]]], np.float64)).data
+        y = en.sigmoid(en.Tensor(np.asarray([[[[-500.0, 500.0]]]], np.float64))).data
         assert np.all(np.isfinite(y))
         assert 0.0 <= y[0, 0, 0, 0] < 1e-200
         assert y[0, 0, 0, 1] == 1.0
@@ -186,37 +187,37 @@ class TestElementwise:
 
 class TestPoolAndResample:
     def test_global_pool_examples(self):
-        x = en.tensor([[[[1, 2], [3, 4]]]], np.float64)
-        assert en.global_pool("avg", x).item() == 2.5
-        assert en.global_pool("max", x).item() == 4.0
+        x = en.Tensor(np.asarray([[[[1, 2], [3, 4]]]], np.float64))
+        assert en.global_avg_pool(x).item() == 2.5
+        assert en.global_max_pool(x).item() == 4.0
 
     def test_avg_equals_max_on_constant(self):
         x = en.full((2, 3, 4, 4), 1.5)
-        assert np.array_equal(en.global_pool("avg", x).data, en.global_pool("max", x).data)
+        assert np.array_equal(en.global_avg_pool(x).data, en.global_max_pool(x).data)
 
     def test_avg_never_exceeds_max(self):
         x = en.Tensor(rng(3).standard_normal((2, 4, 5, 5)))
-        assert np.all(en.global_pool("avg", x).data <= en.global_pool("max", x).data)
+        assert np.all(en.global_avg_pool(x).data <= en.global_max_pool(x).data)
 
     def test_empty_spatial_is_domain_error(self):
         with pytest.raises(DomainError):
-            en.global_pool("avg", en.zeros((1, 2, 0, 3)))
+            en.global_avg_pool(en.zeros((1, 2, 0, 3)))
 
     def test_up2_replicates(self):
-        x = en.tensor([[[[1, 2], [3, 4]]]], np.float64)
+        x = en.Tensor(np.asarray([[[[1, 2], [3, 4]]]], np.float64))
         want = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
-        assert np.array_equal(en.resample(x, "up2_nearest").data[0, 0], want)
+        assert np.array_equal(en.up2_nearest(x).data[0, 0], want)
         single = en.full((1, 1, 1, 1), 7.0)
-        assert np.all(en.resample(single, "up2_nearest").data == 7.0)
+        assert np.all(en.up2_nearest(single).data == 7.0)
 
     def test_down2_of_up2_round_trips(self):
         x = en.Tensor(rng(5).standard_normal((2, 3, 4, 6)))
-        back = en.resample(en.resample(x, "up2_nearest"), "down2_max")
+        back = en.down2_max(en.up2_nearest(x))
         assert np.array_equal(back.data, x.data)
 
     def test_down2_odd_dims_is_shape_error(self):
         with pytest.raises(ShapeError):
-            en.resample(en.zeros((1, 1, 3, 4)), "down2_max")
+            en.down2_max(en.zeros((1, 1, 3, 4)))
 
 
 class TestConcatSliceLinear:
