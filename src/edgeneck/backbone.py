@@ -26,7 +26,6 @@ class Backbone:
             raise ContractError(f"channel plan needs 5 entries, got {channels}")
         if min(channels) < 1:
             raise ContractError(f"channel counts must be >= 1, got {channels}")
-        self.name = name
         c1, c2, c3, c4, c5 = channels
         half = ConvSpec(stride=(2, 2), padding=(1, 1))
         self.convs = [

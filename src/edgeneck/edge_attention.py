@@ -82,7 +82,6 @@ class ChannelAttention:
         hidden = channels // reduction
         self.name = name
         self.channels = channels
-        self.reduction = reduction
         self.w0 = Parameter(name + ".w0", kaiming_uniform(rng, (hidden, channels, 1, 1), dtype))
         self.w1 = Parameter(name + ".w1", kaiming_uniform(rng, (channels, hidden, 1, 1), dtype))
 
@@ -115,7 +114,6 @@ class EdgeGuidedAttention:
     """
 
     def __init__(self, name, rng, channels2, reduction=16, dtype=np.float32):
-        self.name = name
         self.gate = ChannelAttention(name + ".gate", rng, channels2, reduction, dtype)
 
     def parameters(self):

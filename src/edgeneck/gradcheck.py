@@ -3,9 +3,10 @@
 :func:`grad_check` compares every analytic leaf gradient against float64
 central differences, coordinate by coordinate.  Probes whose two forward
 evaluations land on different sides of a non-smooth point (a relu kink or
-a pooling arg-max flip) would make the difference quotient meaningless;
-those probes are detected through the branch trace and skipped, and the
-report says how many were.  A probe whose error exceeds the tolerance is
+a pooling arg-max flip) would make the difference quotient meaningless.
+Each evaluation runs on its own tape, and a probe whose two tapes hold
+different ``branch`` entries in their records is skipped; the report says
+how many were.  A probe whose error exceeds the tolerance is
 re-estimated by Richardson extrapolation, ``(4 D(eps/2) - D(eps)) / 3``,
 which cancels the O(eps^2) truncation term of the central difference
 where the function is strongly curved; a real gradient bug survives it.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor, Tape, backward, branches_equal, record_branches
+from .tensor import Tensor, Tape, backward
 
 DEFAULT_EPS = 1e-3
 DEFAULT_TOL = 1e-5
@@ -85,15 +86,14 @@ def _central(fn, args, leaf, coord, eps):
     """
     original = leaf.data[coord]
     values = []
-    traces = []
+    branches = []
     for step in (eps, -eps):
         leaf.data[coord] = original + step
-        trace = []
-        with record_branches(trace):
+        with Tape() as tape:
             values.append(fn(*args).item())
-        traces.append(trace)
+        branches.append([rec.saved["branch"] for rec in tape.records if "branch" in rec.saved])
     leaf.data[coord] = original
-    if not branches_equal(*traces):
+    if not all(map(np.array_equal, *branches)):
         return None
     return (values[0] - values[1]) / (2.0 * eps)
 

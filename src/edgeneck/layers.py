@@ -8,28 +8,20 @@ from .tensor import ConvSpec, Parameter, conv2d, kaiming_uniform
 
 
 class Conv2d:
-    """A convolution with owned weight and (optionally) bias parameters.
+    """A convolution with owned weight and bias parameters.
 
     Weights are seeded Kaiming-uniform, biases start at zero.  Parameter
-    names are ``<name>.w`` and ``<name>.b``.
+    names are ``<name>.w`` and ``<name>.b``; ``kernel`` is ``(kH, kW)``.
     """
 
-    def __init__(self, name, rng, c_in, c_out, kernel=(3, 3), spec=None,
-                 bias=True, dtype=np.float32):
-        if isinstance(kernel, int):
-            kernel = (kernel, kernel)
-        kh, kw = kernel
+    def __init__(self, name, rng, c_in, c_out, kernel, spec=None, dtype=np.float32):
         self.spec = spec or ConvSpec()
         self.name = name
-        self.c_in = c_in
-        self.c_out = c_out
-        wdims = (c_out, c_in, kh, kw)
-        self.weight = Parameter(name + ".w", kaiming_uniform(rng, wdims, dtype))
-        self.bias = Parameter(name + ".b", np.zeros((1, c_out, 1, 1), dtype)) if bias else None
+        self.weight = Parameter(name + ".w", kaiming_uniform(rng, (c_out, c_in, *kernel), dtype))
+        self.bias = Parameter(name + ".b", np.zeros((1, c_out, 1, 1), dtype))
 
     def __call__(self, x):
-        b = self.bias.value if self.bias is not None else None
-        return conv2d(x, self.weight.value, b, self.spec)
+        return conv2d(x, self.weight.value, self.bias.value, self.spec)
 
     def parameters(self):
-        return [self.weight] if self.bias is None else [self.weight, self.bias]
+        return [self.weight, self.bias]

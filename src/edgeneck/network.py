@@ -53,10 +53,8 @@ class Network:
     def __init__(self, seed=0, channels=(16, 32, 64, 128, 256), pyramid_width=256,
                  fa_mode="full", reduction=16, dtype=np.float32):
         rng = params_rng(seed)
-        self.seed = int(seed)
         self.fa_mode = fa_mode
         self.dtype = np.dtype(dtype)
-        self.pyramid_width = pyramid_width
         self.backbone = Backbone("backbone", rng, channels, dtype)
         self.edge = EdgeGuidedAttention("edge", rng, channels[1], reduction, dtype)
 

@@ -28,8 +28,6 @@ class TopDownPyramid:
     """
 
     def __init__(self, name, rng, level_channels, width, dtype=np.float32):
-        self.name = name
-        self.width = width
         self.laterals = {}
         self.smooths = {}
         smooth_spec = ConvSpec(padding=(1, 1))

@@ -46,9 +46,6 @@ class WideFieldBlock:
     """Five-branch wide/asymmetric receptive field module."""
 
     def __init__(self, name, rng, c_in, c_out, dtype=np.float32):
-        self.name = name
-        self.c_in = c_in
-        self.c_out = c_out
         point = ConvSpec()
         self.branches = {1: [Conv2d(name + ".br1.point", rng, c_in, BRANCH_WIDTH, (1, 1), point,
                                     dtype=dtype)]}

@@ -19,7 +19,6 @@ deterministic on one machine.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -140,9 +139,14 @@ class Parameter:
 # Tape
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class TapeRecord:
-    """One recorded op: id, input refs, output ref, saved intermediates."""
+    """One recorded op: id, input refs, output ref, saved intermediates.
+
+    An op that takes a branch (a relu mask, a pool arg-max) saves that
+    decision under ``"branch"``; its backward rule reads it from there,
+    and the gradient checker compares it between probe evaluations.
+    """
 
     op: str
     inputs: tuple
@@ -176,42 +180,10 @@ class Tape:
 _TAPE_STACK = []
 
 
-def current_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _record(op, inputs, output, **saved):
-    tape = current_tape()
-    if tape is not None and output.requires_grad:
-        tape.records.append(TapeRecord(op, tuple(inputs), output, saved))
+    if _TAPE_STACK and output.requires_grad:
+        _TAPE_STACK[-1].records.append(TapeRecord(op, tuple(inputs), output, saved))
     return output
-
-
-# Branch tracing lets the gradient checker detect probes whose two
-# evaluations straddle a non-smooth point (relu kink, pooling argmax flip).
-_BRANCH_TRACE = None
-
-
-@contextlib.contextmanager
-def record_branches(sink):
-    """Collect branch signatures (relu masks, pool argmax) into ``sink``."""
-    global _BRANCH_TRACE
-    previous = _BRANCH_TRACE
-    _BRANCH_TRACE = sink
-    try:
-        yield sink
-    finally:
-        _BRANCH_TRACE = previous
-
-
-def trace_branch(value):
-    """Record one branch decision array if a branch trace is active."""
-    if _BRANCH_TRACE is not None:
-        _BRANCH_TRACE.append(value)
-
-
-def branches_equal(a, b):
-    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +416,12 @@ def _mul_backward(rec, grad_out):
 
 def relu(x):
     mask = x.data > 0
-    trace_branch(mask)
     out = _result(np.where(mask, x.data, x.data.dtype.type(0)), x.requires_grad)
-    return _record("relu", (x,), out, mask=mask)
+    return _record("relu", (x,), out, branch=mask)
 
 
 def _relu_backward(rec, grad_out):
-    return (grad_out * rec.saved["mask"],)
+    return (grad_out * rec.saved["branch"],)
 
 
 def sigmoid(x):
@@ -488,16 +459,15 @@ def edge_magnitude(gx, gy):
     if gx.dims != gy.dims:
         raise ContractError(f"edge_magnitude dims differ: {gx.dims} vs {gy.dims}")
     mag = np.sqrt(gx.data * gx.data + gy.data * gy.data)
-    trace_branch(mag > 0)
     out = _result(mag, gx.requires_grad or gy.requires_grad)
-    return _record("edge_magnitude", (gx, gy), out, value=mag)
+    return _record("edge_magnitude", (gx, gy), out, value=mag, branch=mag > 0)
 
 
 def _edge_magnitude_backward(rec, grad_out):
     gx, gy = rec.inputs
-    mag = rec.saved["value"]
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mag > 0, grad_out / mag, grad_out.dtype.type(0))
+        scale = np.where(rec.saved["branch"], grad_out / rec.saved["value"],
+                         grad_out.dtype.type(0))
     ga = scale * gx.data if gx.requires_grad else None
     gb = scale * gy.data if gy.requires_grad else None
     return ga, gb
@@ -528,10 +498,9 @@ def global_max_pool(x):
     n, c = x.dims[:2]
     flat = _spatial_flat(x, "global_max_pool")
     idx = flat.argmax(axis=2)  # first maximal position in scan order
-    trace_branch(idx)
     out_d = np.take_along_axis(flat, idx[:, :, None], axis=2).reshape(n, c, 1, 1)
     out = _result(out_d, x.requires_grad)
-    return _record("global_max_pool", (x,), out, idx=idx)
+    return _record("global_max_pool", (x,), out, branch=idx)
 
 
 def _global_avg_pool_backward(rec, grad_out):
@@ -545,7 +514,7 @@ def _global_max_pool_backward(rec, grad_out):
     (x,) = rec.inputs
     n, c, h, w = x.dims
     flat = np.zeros((n, c, h * w), grad_out.dtype)
-    np.put_along_axis(flat, rec.saved["idx"][:, :, None], grad_out.reshape(n, c, 1), axis=2)
+    np.put_along_axis(flat, rec.saved["branch"][:, :, None], grad_out.reshape(n, c, 1), axis=2)
     return (flat.reshape(n, c, h, w),)
 
 
@@ -564,10 +533,9 @@ def down2_max(x):
     blocks = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
     flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
     idx = flat.argmax(axis=4)  # first maximal element per block, row-major
-    trace_branch(idx)
     out_d = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
     out = _result(np.ascontiguousarray(out_d), x.requires_grad)
-    return _record("down2_max", (x,), out, idx=idx)
+    return _record("down2_max", (x,), out, branch=idx)
 
 
 def _up2_nearest_backward(rec, grad_out):
@@ -580,7 +548,7 @@ def _down2_max_backward(rec, grad_out):
     (x,) = rec.inputs
     n, c, h, w = x.dims
     flat = np.zeros((n, c, h // 2, w // 2, 4), grad_out.dtype)
-    np.put_along_axis(flat, rec.saved["idx"][..., None], grad_out[..., None], axis=4)
+    np.put_along_axis(flat, rec.saved["branch"][..., None], grad_out[..., None], axis=4)
     g = flat.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
     return (np.ascontiguousarray(g),)
 

@@ -150,17 +150,16 @@ def block_checks(seed=1):
     ]
 
 
-def pipeline_check(seed=1, channels=(4, 8, 8, 16, 16), pyramid_width=8,
-                   reduction=4, hw=64, max_coords=2):
+def pipeline_check(seed=1):
     """One end-to-end check: loss over all pyramid outputs, every parameter."""
     def run():
-        net = Network(seed=seed, channels=channels, pyramid_width=pyramid_width,
-                      fa_mode="full", reduction=reduction, dtype=np.float64)
+        net = Network(seed=seed, channels=(4, 8, 8, 16, 16), pyramid_width=8,
+                      fa_mode="full", reduction=4, dtype=np.float64)
         params = net.parameters()
-        inputs = {"image": noise_image(seed, hw, hw, np.float64)}
+        inputs = {"image": noise_image(seed, 64, 64, np.float64)}
         inputs.update((p.name, p.value) for p in params)
         fn = _bound(params, lambda image: _loss(*net.forward(image).outputs.tensors()))
-        return grad_check(fn, inputs, max_coords=max_coords, rng=_rng(seed, "pipeline.pick"))
+        return grad_check(fn, inputs, max_coords=2, rng=_rng(seed, "pipeline.pick"))
     return [("pipeline.full", run)]
 
 

@@ -18,6 +18,7 @@ container byte for byte.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -86,7 +87,11 @@ def unpack_entries(blob):
     entries = {}
     for i in range(count):
         (name_len,) = r.unpack("<H", f"entry {i} name length")
-        name = r.take(name_len, f"entry {i} name").decode("utf-8")
+        raw = r.take(name_len, f"entry {i} name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"entry {i} name {raw!r} is not valid UTF-8") from None
         rank, d0, d1, d2, d3, code = r.unpack("<B4IB", f"{name} descriptor")
         if rank != 4:
             raise FormatError(f"{name}: rank must be 4, got {rank}")
@@ -94,7 +99,7 @@ def unpack_entries(blob):
             raise FormatError(f"{name}: unknown dtype code {code}")
         dims = (d0, d1, d2, d3)
         dtype = _CODE_DTYPE[code]
-        nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize  # exact: no int64 wrap-around
         payload = r.take(nbytes, f"{name} payload")
         if name in entries:
             raise FormatError(f"duplicate tensor name {name!r}")

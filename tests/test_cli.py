@@ -1,12 +1,14 @@
 """End-to-end command tests, run in-process through main()."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from edgeneck import BACKWARD, Network, verify
 from edgeneck.netpbm import read_image, write_color, write_gray
 from edgeneck.report import parse_report, tensor_stats
-from edgeneck.weights import pack_entries, read_container, unpack_entries
+from edgeneck.weights import MAGIC, VERSION, pack_entries, read_container, unpack_entries
 
 from reference import normalize_map_reference, sobel_magnitude_reference
 
@@ -218,6 +220,16 @@ class TestWeights:
         box.write_bytes(blob[: len(blob) // 2])
         code, _, err = run_cli("weights", "load-verify", box, "--config", small_cfg)
         assert code == 3 and "needs" in err and "remain" in err
+
+    def test_malformed_entry_exits_3(self, run_cli, small_cfg, tmp_path):
+        box = tmp_path / "w.erlw"
+        header = MAGIC + struct.pack("<HI", VERSION, 1)
+        for name, dims, message in [(b"\xff", (1, 1, 1, 1), "not valid UTF-8"),
+                                    (b"x", (65536,) * 4, "truncated container")]:
+            descriptor = struct.pack("<B4IB", 4, *dims, 0)
+            box.write_bytes(header + struct.pack("<H", len(name)) + name + descriptor + bytes(4))
+            code, _, err = run_cli("weights", "load-verify", box, "--config", small_cfg)
+            assert code == 3 and message in err
 
     def test_dtype_mismatch_exits_3(self, run_cli, tmp_path):
         f64_cfg = tmp_path / "d.cfg"

@@ -57,12 +57,31 @@ def test_kink_straddling_probes_are_skipped():
     assert report.ok  # nothing measured, nothing failed
 
 
-def test_pool_argmax_flip_is_guarded():
+@pytest.mark.parametrize("pool", [en.global_max_pool, en.down2_max], ids=lambda op: op.__name__)
+def test_pool_argmax_flip_is_guarded(pool):
     # two near-tied elements: probing either straddles the argmax flip
     x = np.asarray([[[[1.0, 1.0 + 1e-4], [0.0, 0.0]]]])
-    report = grad_check(lambda t: en.sum_all(en.global_max_pool(t)), {"x": x}, eps=1e-3)
+    report = grad_check(lambda t: en.sum_all(pool(t)), {"x": x}, eps=1e-3)
     assert report.entries[0].skipped >= 2
     assert report.ok
+
+
+def test_edge_magnitude_zero_crossing_is_guarded():
+    # gx = eps, gy = 0: every gx probe lands exactly on the (0, 0) kink
+    eps = 1e-3
+    report = grad_check(lambda gx, gy: en.sum_all(en.edge_magnitude(gx, gy)),
+                        {"gx": np.full((1, 1, 2, 2), eps), "gy": np.zeros((1, 1, 2, 2))},
+                        eps=eps)
+    gx, gy = report.entries
+    assert (gx.probed, gx.skipped) == (0, 4)
+    assert (gy.probed, gy.skipped) == (4, 0)
+    assert report.ok
+
+
+def test_probes_leave_an_enclosing_tape_untouched():
+    with en.Tape() as outer:
+        grad_check(lambda t: en.sum_all(en.relu(t)), {"x": rng(8).standard_normal((1, 1, 2, 4))})
+    assert len(outer) == 0
 
 
 def test_corrupted_backward_is_detected(monkeypatch):

@@ -97,6 +97,19 @@ class TestUnpackValidation:
         with pytest.raises(FormatError, match="4 trailing bytes"):
             unpack_entries(blob + bytes(4))
 
+    def test_name_not_utf8_names_the_entry(self):
+        blob = (MAGIC + struct.pack("<HI", VERSION, 1) + struct.pack("<H", 2) + b"\xff\xfe"
+                + struct.pack("<B4IB", 4, 1, 1, 1, 1, 0) + bytes(4))
+        with pytest.raises(FormatError, match="entry 0 name .* not valid UTF-8"):
+            unpack_entries(blob)
+
+    def test_dims_product_beyond_int64_is_truncation(self):
+        # 65536**4 = 2**64 wraps to 0 in int64 arithmetic
+        blob = (MAGIC + struct.pack("<HI", VERSION, 1) + struct.pack("<H", 1) + b"x"
+                + struct.pack("<B4IB", 4, 65536, 65536, 65536, 65536, 0))
+        with pytest.raises(FormatError, match="truncated container: x payload"):
+            unpack_entries(blob)
+
     def test_read_container_prefixes_path(self, tmp_path):
         path = tmp_path / "w.erlw"
         path.write_bytes(b"NOPE")
