@@ -18,11 +18,11 @@ depends on exactly its three sources.
 
 from __future__ import annotations
 
+from .backbone import STRIDES
 from .errors import ConfigError
 from .levels import PyramidLevel, PyramidSet
 from .tensor import concat_channels, down2_max, up2_nearest
 
-SOURCE_STRIDES = (4, 8, 16, 32, 64)
 MODES = ("full", "low3", "high3")
 
 # (output stride, constituents as (source stride, resampling op or None))
@@ -34,7 +34,7 @@ _FULL_PLAN = (
 )
 
 _MODE_SOURCES = {
-    "full": frozenset(SOURCE_STRIDES),
+    "full": frozenset(STRIDES),
     "low3": frozenset((4, 8, 16)),
     "high3": frozenset((16, 32, 64)),
 }
@@ -55,15 +55,15 @@ def aggregation_plan(mode="full"):
 
 def plan_channels(plan, source_channels):
     """Output channel count per fused level, from the source channel map."""
-    by_stride = dict(zip(SOURCE_STRIDES, source_channels))
+    by_stride = dict(zip(STRIDES, source_channels))
     return tuple(sum(by_stride[s] for s, _ in constituents) for _, constituents in plan)
 
 
 def aggregate(feats, mode="full"):
     """Fuse a 5-level source set into the mode's aggregated set."""
-    if feats.strides != SOURCE_STRIDES:
+    if feats.strides != STRIDES:
         raise ConfigError(
-            f"aggregation needs source strides {SOURCE_STRIDES}, got {feats.strides}"
+            f"aggregation needs source strides {STRIDES}, got {feats.strides}"
         )
     out = []
     for stride, constituents in aggregation_plan(mode):

@@ -47,9 +47,9 @@ class Backbone:
         n, c, h, w = image.dims
         if c != IN_CHANNELS:
             raise ContractError(f"backbone expects {IN_CHANNELS} input channels, got {c}")
-        if h % 64 or w % 64:
+        if h % STRIDES[-1] or w % STRIDES[-1]:
             raise ShapeError(
-                f"input spatial dims must be divisible by 64, got {h}x{w}"
+                f"input spatial dims must be divisible by {STRIDES[-1]}, got {h}x{w}"
             )
         x = image
         features = []

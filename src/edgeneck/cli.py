@@ -20,14 +20,14 @@ import numpy as np
 
 from .aggregation import MODES
 from .config import RunConfig, load_config, noise_size, parse_seed
-from .edge_attention import deep_sobel
+from .edge_attention import edge_map
 from .errors import (
     ConfigError, ContractError, DomainError, FormatError, UsageError,
 )
 from .netpbm import read_image, to_luma, write_gray
 from .network import Network, noise_image
 from .report import build_report
-from .tensor import Tensor, edge_magnitude
+from .tensor import Tensor
 from .verify import SCOPES, checks_for_scope, run_checks
 from .weights import (
     load_into_parameters, read_container, split_entries, write_container,
@@ -102,7 +102,7 @@ def cmd_edge(args):
     magic, pixels = read_image(args.input)
     luma = to_luma(magic, pixels) / 255.0
     x = Tensor(luma[None, None].astype(np.float32))
-    mag = edge_magnitude(*deep_sobel(x)).data[0, 0]
+    mag = edge_map(x).data[0, 0]
     spread = float(mag.max() - mag.min())
     if spread > 0:
         scaled = np.rint((mag - mag.min()) / spread * 255.0)

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ContractError
 from .tensor import Tensor, Tape, backward
 
-DEFAULT_EPS = 1e-3
-DEFAULT_TOL = 1e-5
+EPS = 1e-3
+TOL = 1e-5
 
 
 @dataclass
@@ -110,20 +110,20 @@ def _candidate_coords(shape, mask, rng, shuffled):
     return [tuple(int(i) for i in c) for c in coords]
 
 
-def grad_check(fn, inputs, eps=DEFAULT_EPS, tol=DEFAULT_TOL, rng=None,
-               max_coords=None, probe_masks=None):
-    """Check ``fn``'s gradients at the given point.
+def grad_check(fn, inputs, rng=None, max_coords=None, probe_masks=None):
+    """Check ``fn``'s gradients at the given point, with step ``EPS`` and tolerance ``TOL``.
 
     ``fn`` takes one tensor per entry of ``inputs`` (a mapping from label
     to tensor or array, in order) and returns a 1x1x1x1 scalar.  The check
-    always runs in float64 regardless of the input dtype.
+    always runs in float64 regardless of the input dtype.  An input that
+    ``fn`` does not depend on has a zero analytic gradient.
 
     ``max_coords`` caps the verified probes per input: coordinates are
     drawn shuffled with ``rng`` (seeded to 0 when omitted) and a probe the
-    kink guard skips is replaced by the next coordinate, up to four times
-    the cap.  ``probe_masks`` maps a label to a boolean array restricting
-    which coordinates may be probed at all, for points known to sit near
-    a kink.
+    kink guard skips is replaced by the next coordinate, attempting at most
+    ``max(6 * max_coords, max_coords + 12)`` coordinates.  ``probe_masks``
+    maps a label to a boolean array restricting which coordinates may be
+    probed at all, for points known to sit near a kink.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -146,7 +146,7 @@ def grad_check(fn, inputs, eps=DEFAULT_EPS, tol=DEFAULT_TOL, rng=None,
 
     entries = []
     for label, leaf in leaves.items():
-        analytic = leaf.grad
+        analytic = np.zeros(leaf.dims) if leaf.grad is None else leaf.grad
         coords = _candidate_coords(leaf.dims, probe_masks.get(label), rng,
                                    shuffled=max_coords is not None)
         if max_coords is None:
@@ -162,14 +162,14 @@ def grad_check(fn, inputs, eps=DEFAULT_EPS, tol=DEFAULT_TOL, rng=None,
         for coord in coords[:attempts]:
             if probed >= target:
                 break
-            numeric = _central(fn, args, leaf, coord, eps)
+            numeric = _central(fn, args, leaf, coord, EPS)
             if numeric is None:
                 skipped += 1
                 continue
             grad = float(analytic[coord])
             err = _rel_err(grad, numeric)
-            if err > tol:
-                half = _central(fn, args, leaf, coord, eps / 2)
+            if err > TOL:
+                half = _central(fn, args, leaf, coord, EPS / 2)
                 if half is not None:
                     err = _rel_err(grad, (4.0 * half - numeric) / 3.0)
             probed += 1
@@ -177,4 +177,4 @@ def grad_check(fn, inputs, eps=DEFAULT_EPS, tol=DEFAULT_TOL, rng=None,
                 worst = err
                 worst_coord = coord
         entries.append(GradCheckEntry(label, probed, skipped, worst, worst_coord))
-    return GradCheckReport(entries, eps, tol)
+    return GradCheckReport(entries, EPS, TOL)

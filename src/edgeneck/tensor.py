@@ -5,7 +5,7 @@ row-major ``(N, C, H, W)`` float buffer.  All ops are pure functions over
 immutable tensors.  While a :class:`Tape` is active, ops whose result
 depends on a gradient-carrying tensor append a record; :func:`backward`
 replays those records in exact reverse creation order and accumulates
-``d(root)/d(leaf)`` into the ``grad`` buffer of every leaf it reaches.
+``d(root)/d(leaf)`` into the ``grad`` of every leaf it reaches, made on first reach.
 
 Convolution uses the cross-correlation convention (no kernel flip) and is
 lowered to im2col plus one matrix multiply (GEMM), forward and backward.
@@ -20,7 +20,7 @@ deterministic on one machine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +32,10 @@ DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 class Tensor:
     """A dense ``(N, C, H, W)`` array with an optional gradient buffer.
 
-    Data is treated as immutable after construction.  Leaf tensors created
-    with ``requires_grad=True`` carry a zero-initialized ``grad`` buffer of
-    identical dims; :func:`backward` accumulates into it until
-    :meth:`zero_grad` is called.
+    Data is treated as immutable after construction.  ``grad`` starts as
+    ``None``; the first :func:`backward` that reaches a leaf created with
+    ``requires_grad=True`` gives it a buffer of identical dims, and later
+    calls accumulate into it until :meth:`zero_grad` is called.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -48,7 +48,7 @@ class Tensor:
             raise ContractError(f"unsupported element type {arr.dtype}; use float32 or float64")
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None
 
     @property
     def dims(self):
@@ -74,15 +74,6 @@ class Tensor:
     def __repr__(self):
         shape = "x".join(str(d) for d in self.dims)
         return f"Tensor({shape}, {self.dtype_name}, requires_grad={self.requires_grad})"
-
-
-def _result(data, requires_grad):
-    """Build an op output: gradient flag propagated, grad buffer left unset."""
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.requires_grad = requires_grad
-    out.grad = None
-    return out
 
 
 def zeros(dims, dtype=np.float32, requires_grad=False):
@@ -111,7 +102,7 @@ def kaiming_uniform(rng, dims, dtype=np.float32):
 
 
 class Parameter:
-    """A named leaf tensor with a persistent, zero-initialized gradient."""
+    """A named leaf tensor whose gradient buffer :func:`backward` allocates and keeps."""
 
     __slots__ = ("name", "value")
 
@@ -151,7 +142,7 @@ class TapeRecord:
     op: str
     inputs: tuple
     output: Tensor
-    saved: dict = field(default_factory=dict)
+    saved: dict
 
 
 class Tape:
@@ -180,10 +171,19 @@ class Tape:
 _TAPE_STACK = []
 
 
-def _record(op, inputs, output, **saved):
-    if _TAPE_STACK and output.requires_grad:
-        _TAPE_STACK[-1].records.append(TapeRecord(op, tuple(inputs), output, saved))
-    return output
+def _record(op, inputs, data, **saved):
+    """Every op's result: ``data`` needing a gradient when any input does, taped if so."""
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = False
+    out.grad = None
+    for t in inputs:  # a plain loop: any() over a generator adds a frame to every op
+        if t.requires_grad:
+            out.requires_grad = True
+            break
+    if _TAPE_STACK and out.requires_grad:
+        _TAPE_STACK[-1].records.append(TapeRecord(op, tuple(inputs), out, saved))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +267,8 @@ def conv2d(x, weight, bias=None, spec=None):
     oh, ow = spec.out_hw(h, w, kh, kw)
 
     out = _conv_forward(x.data, weight.data, None if bias is None else bias.data, spec, oh, ow)
-    requires = x.requires_grad or weight.requires_grad or (bias is not None and bias.requires_grad)
-    result = _result(out, requires)
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _record("conv2d", inputs, result, spec=spec)
+    return _record("conv2d", inputs, out, spec=spec)
 
 
 # Upper bound on the bytes of one im2col or col2im buffer.  1 MiB holds
@@ -389,8 +387,7 @@ def _check_broadcast(a_dims, b_dims):
 def add(a, b):
     _same_dtype(a, b)
     _check_broadcast(a.dims, b.dims)
-    out = _result(a.data + b.data, a.requires_grad or b.requires_grad)
-    return _record("add", (a, b), out)
+    return _record("add", (a, b), a.data + b.data)
 
 
 def _add_backward(rec, grad_out):
@@ -403,8 +400,7 @@ def _add_backward(rec, grad_out):
 def mul(a, b):
     _same_dtype(a, b)
     _check_broadcast(a.dims, b.dims)
-    out = _result(a.data * b.data, a.requires_grad or b.requires_grad)
-    return _record("mul", (a, b), out)
+    return _record("mul", (a, b), a.data * b.data)
 
 
 def _mul_backward(rec, grad_out):
@@ -416,8 +412,7 @@ def _mul_backward(rec, grad_out):
 
 def relu(x):
     mask = x.data > 0
-    out = _result(np.where(mask, x.data, x.data.dtype.type(0)), x.requires_grad)
-    return _record("relu", (x,), out, branch=mask)
+    return _record("relu", (x,), np.where(mask, x.data, x.data.dtype.type(0)), branch=mask)
 
 
 def _relu_backward(rec, grad_out):
@@ -430,18 +425,16 @@ def sigmoid(x):
     pos = xd >= 0
     z = np.exp(np.where(pos, -xd, xd))
     out_d = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z)).astype(xd.dtype, copy=False)
-    out = _result(out_d, x.requires_grad)
-    return _record("sigmoid", (x,), out, value=out_d)
+    return _record("sigmoid", (x,), out_d)
 
 
 def _sigmoid_backward(rec, grad_out):
-    s = rec.saved["value"]
+    s = rec.output.data
     return (grad_out * s * (1.0 - s),)
 
 
 def square(x):
-    out = _result(x.data * x.data, x.requires_grad)
-    return _record("square", (x,), out)
+    return _record("square", (x,), x.data * x.data)
 
 
 def _square_backward(rec, grad_out):
@@ -456,17 +449,17 @@ def edge_magnitude(gx, gy):
     factor through the chain where both inputs vanish, while the magnitude
     itself has a well-defined (sub)gradient of zero there.
     """
+    _same_dtype(gx, gy)
     if gx.dims != gy.dims:
         raise ContractError(f"edge_magnitude dims differ: {gx.dims} vs {gy.dims}")
     mag = np.sqrt(gx.data * gx.data + gy.data * gy.data)
-    out = _result(mag, gx.requires_grad or gy.requires_grad)
-    return _record("edge_magnitude", (gx, gy), out, value=mag, branch=mag > 0)
+    return _record("edge_magnitude", (gx, gy), mag, branch=mag > 0)
 
 
 def _edge_magnitude_backward(rec, grad_out):
     gx, gy = rec.inputs
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(rec.saved["branch"], grad_out / rec.saved["value"],
+        scale = np.where(rec.saved["branch"], grad_out / rec.output.data,
                          grad_out.dtype.type(0))
     ga = scale * gx.data if gx.requires_grad else None
     gb = scale * gy.data if gy.requires_grad else None
@@ -489,8 +482,7 @@ def global_avg_pool(x):
     """Average over all H*W positions per sample and channel, to N x C x 1 x 1."""
     n, c = x.dims[:2]
     out_d = _spatial_flat(x, "global_avg_pool").mean(axis=2).reshape(n, c, 1, 1)
-    out = _result(out_d.astype(x.dtype, copy=False), x.requires_grad)
-    return _record("global_avg_pool", (x,), out)
+    return _record("global_avg_pool", (x,), out_d.astype(x.dtype, copy=False))
 
 
 def global_max_pool(x):
@@ -499,8 +491,7 @@ def global_max_pool(x):
     flat = _spatial_flat(x, "global_max_pool")
     idx = flat.argmax(axis=2)  # first maximal position in scan order
     out_d = np.take_along_axis(flat, idx[:, :, None], axis=2).reshape(n, c, 1, 1)
-    out = _result(out_d, x.requires_grad)
-    return _record("global_max_pool", (x,), out, branch=idx)
+    return _record("global_max_pool", (x,), out_d, branch=idx)
 
 
 def _global_avg_pool_backward(rec, grad_out):
@@ -520,9 +511,7 @@ def _global_max_pool_backward(rec, grad_out):
 
 def up2_nearest(x):
     """Double H and W by replicating each pixel into a 2x2 block."""
-    out_d = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-    out = _result(out_d, x.requires_grad)
-    return _record("up2_nearest", (x,), out)
+    return _record("up2_nearest", (x,), np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3))
 
 
 def down2_max(x):
@@ -534,8 +523,7 @@ def down2_max(x):
     flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
     idx = flat.argmax(axis=4)  # first maximal element per block, row-major
     out_d = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
-    out = _result(np.ascontiguousarray(out_d), x.requires_grad)
-    return _record("down2_max", (x,), out, branch=idx)
+    return _record("down2_max", (x,), np.ascontiguousarray(out_d), branch=idx)
 
 
 def _up2_nearest_backward(rec, grad_out):
@@ -564,8 +552,7 @@ def replicate_pad(x):
     if h < 1 or w < 1:
         raise DomainError(f"replicate_pad needs a non-empty spatial extent, got {h}x{w}")
     out_d = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge")
-    out = _result(out_d, x.requires_grad)
-    return _record("replicate_pad", (x,), out)
+    return _record("replicate_pad", (x,), out_d)
 
 
 def _replicate_pad_backward(rec, grad_out):
@@ -591,8 +578,8 @@ def channel_mean(x):
     n, c, h, w = x.dims
     if c < 1:
         raise DomainError("channel_mean over zero channels")
-    out = _result(x.data.mean(axis=1, keepdims=True).astype(x.dtype, copy=False), x.requires_grad)
-    return _record("channel_mean", (x,), out)
+    out_d = x.data.mean(axis=1, keepdims=True).astype(x.dtype, copy=False)
+    return _record("channel_mean", (x,), out_d)
 
 
 def _channel_mean_backward(rec, grad_out):
@@ -614,9 +601,7 @@ def concat_channels(xs):
             raise ContractError(
                 f"concat_channels spatial/batch mismatch: {t.dims} vs {base}"
             )
-    out_d = np.concatenate([t.data for t in xs], axis=1)
-    out = _result(out_d, any(t.requires_grad for t in xs))
-    return _record("concat_channels", xs, out)
+    return _record("concat_channels", xs, np.concatenate([t.data for t in xs], axis=1))
 
 
 def _concat_channels_backward(rec, grad_out):
@@ -631,8 +616,7 @@ def _concat_channels_backward(rec, grad_out):
 
 def sum_all(x):
     """Sum every element into a 1 x 1 x 1 x 1 scalar tensor."""
-    out = _result(x.data.sum(dtype=x.dtype).reshape(1, 1, 1, 1), x.requires_grad)
-    return _record("sum_all", (x,), out)
+    return _record("sum_all", (x,), x.data.sum(dtype=x.dtype).reshape(1, 1, 1, 1))
 
 
 def _sum_all_backward(rec, grad_out):
@@ -675,29 +659,23 @@ def backward(tape, root):
     if not any(rec.output is root for rec in tape.records):
         raise UsageError("backward root was not produced on this tape")
 
-    pending = {id(root): np.ones((1, 1, 1, 1), root.dtype)}
-    holders = {id(root): root}
+    # id(tensor) -> (tensor, gradient accumulated so far)
+    pending = {id(root): (root, np.ones((1, 1, 1, 1), root.dtype))}
     for rec in reversed(tape.records):
-        grad_out = pending.pop(id(rec.output), None)
-        if grad_out is None:
+        entry = pending.pop(id(rec.output), None)
+        if entry is None:
             continue
-        holders.pop(id(rec.output), None)
-        grads = BACKWARD[rec.op](rec, grad_out)
+        grads = BACKWARD[rec.op](rec, entry[1])
         for inp, g in zip(rec.inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
-            key = id(inp)
-            if key in pending:
-                # out-of-place: backward rules may alias one array to
-                # several inputs (add with no broadcast), so never mutate
-                pending[key] = pending[key] + g
-            else:
-                pending[key] = g
-                holders[key] = inp
+            held = pending.get(id(inp))
+            # out-of-place: backward rules may alias one array to several
+            # inputs (add with no broadcast), so never mutate
+            pending[id(inp)] = (inp, g if held is None else held[1] + g)
 
     # whatever was never popped had no producing record on this tape: a leaf
-    for key, g in pending.items():
-        leaf = holders[key]
+    for leaf, g in pending.values():
         if leaf.grad is None:
             leaf.grad = np.zeros_like(leaf.data)
         leaf.grad += g

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import edgeneck as en
-from edgeneck.aggregation import MODES, SOURCE_STRIDES, aggregation_plan, plan_channels
+from edgeneck.aggregation import MODES, aggregation_plan, plan_channels
+from edgeneck.backbone import STRIDES
 from edgeneck.errors import ConfigError
 
 
@@ -12,7 +13,7 @@ def make_set(channels=(16, 32, 64, 128, 256), base=64, batch=1, seed=0,
              requires_grad=False, dtype=np.float64):
     rng = np.random.default_rng(seed)
     levels = []
-    for i, (stride, c) in enumerate(zip(SOURCE_STRIDES, channels)):
+    for i, (stride, c) in enumerate(zip(STRIDES, channels)):
         hw = base >> i
         data = rng.standard_normal((batch, c, hw, hw)).astype(dtype)
         levels.append(en.PyramidLevel(stride, en.Tensor(data, requires_grad)))
@@ -56,7 +57,7 @@ class TestAggregateFull:
     def test_zero_in_zero_out(self):
         feats = en.PyramidSet([
             en.PyramidLevel(s, en.zeros((1, c, 64 >> i, 64 >> i)))
-            for i, (s, c) in enumerate(zip(SOURCE_STRIDES, (4, 8, 8, 16, 16)))
+            for i, (s, c) in enumerate(zip(STRIDES, (4, 8, 8, 16, 16)))
         ])
         for lv in en.aggregate(feats):
             assert not lv.tensor.data.any()

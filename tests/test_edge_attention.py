@@ -96,6 +96,10 @@ class TestEdgeMagnitude:
         with pytest.raises(ContractError):
             en.edge_magnitude(en.zeros((1, 1, 2, 2)), en.zeros((1, 1, 2, 3)))
 
+    def test_mixed_dtypes_rejected(self):
+        with pytest.raises(ContractError):
+            en.edge_magnitude(en.zeros((1, 1, 2, 2), np.float32), en.zeros((1, 1, 2, 2), np.float64))
+
 
 class TestEdgeGuide:
     def test_ones_is_identity(self):

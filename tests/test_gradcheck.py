@@ -5,7 +5,7 @@ import pytest
 
 import edgeneck as en
 from edgeneck.errors import ContractError
-from edgeneck.gradcheck import grad_check
+from edgeneck.gradcheck import EPS, grad_check
 from edgeneck.tensor import BACKWARD
 from edgeneck.verify import block_checks, op_checks
 
@@ -50,7 +50,7 @@ def test_relu_with_probe_mask_passes():
 def test_kink_straddling_probes_are_skipped():
     # every input sits within eps of the relu kink: nothing is probeable
     x = np.full((1, 1, 2, 2), 2e-4)
-    report = grad_check(lambda t: en.sum_all(en.relu(t)), {"x": x}, eps=1e-3)
+    report = grad_check(lambda t: en.sum_all(en.relu(t)), {"x": x})
     entry = report.entries[0]
     assert entry.probed == 0
     assert entry.skipped == 4
@@ -61,21 +61,28 @@ def test_kink_straddling_probes_are_skipped():
 def test_pool_argmax_flip_is_guarded(pool):
     # two near-tied elements: probing either straddles the argmax flip
     x = np.asarray([[[[1.0, 1.0 + 1e-4], [0.0, 0.0]]]])
-    report = grad_check(lambda t: en.sum_all(pool(t)), {"x": x}, eps=1e-3)
+    report = grad_check(lambda t: en.sum_all(pool(t)), {"x": x})
     assert report.entries[0].skipped >= 2
     assert report.ok
 
 
 def test_edge_magnitude_zero_crossing_is_guarded():
-    # gx = eps, gy = 0: every gx probe lands exactly on the (0, 0) kink
-    eps = 1e-3
+    # gx = EPS, gy = 0: every gx probe lands exactly on the (0, 0) kink
     report = grad_check(lambda gx, gy: en.sum_all(en.edge_magnitude(gx, gy)),
-                        {"gx": np.full((1, 1, 2, 2), eps), "gy": np.zeros((1, 1, 2, 2))},
-                        eps=eps)
+                        {"gx": np.full((1, 1, 2, 2), EPS), "gy": np.zeros((1, 1, 2, 2))})
     gx, gy = report.entries
     assert (gx.probed, gx.skipped) == (0, 4)
     assert (gy.probed, gy.skipped) == (4, 0)
     assert report.ok
+
+
+def test_unused_input_has_zero_gradient():
+    # backward never reaches y, so its analytic gradient reads as zero
+    report = grad_check(lambda x, y: en.sum_all(x),
+                        {"x": np.ones((1, 1, 2, 2)), "y": np.ones((1, 1, 2, 2))})
+    assert report.ok
+    y = report.entries[1]
+    assert (y.label, y.probed, y.max_rel_err) == ("y", 4, 0.0)
 
 
 def test_probes_leave_an_enclosing_tape_untouched():

@@ -104,3 +104,8 @@ class TestValidation:
         net.forward(en.noise_image(0, 64, 64), timings=laps)
         assert set(laps) == {"backbone", "edge", "aggregate", "wide", "pyramid"}
         assert all(v >= 0 for v in laps.values())
+
+
+def test_network_allocates_no_gradients():
+    # gradient buffers come from backward, so inference never holds them
+    assert all(p.grad is None for p in en.Network().parameters())

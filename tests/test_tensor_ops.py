@@ -53,10 +53,13 @@ class TestTensorType:
         assert t.dims == (1, 0, 4, 4)
         assert t.data.size == 0
 
-    def test_grad_buffer_matches_dims(self):
+    def test_grad_buffer_allocated_by_backward(self):
         t = en.zeros((2, 3, 4, 5), requires_grad=True)
-        assert t.grad.shape == t.data.shape
-        assert not t.grad.any()
+        assert t.grad is None
+        with en.Tape() as tape:
+            loss = en.sum_all(t)
+        en.backward(tape, loss)
+        assert t.grad.shape == t.dims
 
     def test_item_requires_single_element(self):
         assert en.full((1, 1, 1, 1), 2.5).item() == 2.5
