@@ -98,16 +98,12 @@ def _central(fn, args, leaf, coord, eps):
     return (values[0] - values[1]) / (2.0 * eps)
 
 
-def _candidate_coords(shape, mask, rng, shuffled):
-    if mask is not None:
-        if mask.shape != shape:
-            raise ContractError(f"probe mask shape {mask.shape} != input dims {shape}")
-        coords = np.argwhere(mask)
-    else:
-        coords = np.argwhere(np.ones(shape, bool))
-    if shuffled:
-        coords = coords[rng.permutation(len(coords))]
-    return [tuple(int(i) for i in c) for c in coords]
+def _candidate_indices(shape, mask, rng, shuffled):
+    """Row-major flat indices of the probeable coordinates, in ``rng``'s order if ``shuffled``."""
+    if mask is not None and mask.shape != shape:
+        raise ContractError(f"probe mask shape {mask.shape} != input dims {shape}")
+    flat = np.arange(np.prod(shape)) if mask is None else np.flatnonzero(mask)
+    return flat[rng.permutation(flat.size)] if shuffled else flat
 
 
 def grad_check(fn, inputs, rng=None, max_coords=None, probe_masks=None):
@@ -116,14 +112,14 @@ def grad_check(fn, inputs, rng=None, max_coords=None, probe_masks=None):
     ``fn`` takes one tensor per entry of ``inputs`` (a mapping from label
     to tensor or array, in order) and returns a 1x1x1x1 scalar.  The check
     always runs in float64 regardless of the input dtype.  An input that
-    ``fn`` does not depend on has a zero analytic gradient.
+    ``fn`` ignores has a zero analytic gradient, even when it ignores all.
 
-    ``max_coords`` caps the verified probes per input: coordinates are
-    drawn shuffled with ``rng`` (seeded to 0 when omitted) and a probe the
-    kink guard skips is replaced by the next coordinate, attempting at most
-    ``max(6 * max_coords, max_coords + 12)`` coordinates.  ``probe_masks``
-    maps a label to a boolean array restricting which coordinates may be
-    probed at all, for points known to sit near a kink.
+    ``max_coords`` caps the verified probes per input: the row-major flat
+    indices of its coordinates are shuffled by ``rng.permutation`` (``rng``
+    seeded to 0 when omitted) and a probe the kink guard skips is replaced
+    by the next one, attempting at most ``max(6 * max_coords, max_coords +
+    12)``.  ``probe_masks`` maps a label to a boolean array of the
+    coordinates that may be probed, for points known to sit near a kink.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -142,24 +138,25 @@ def grad_check(fn, inputs, rng=None, max_coords=None, probe_masks=None):
         out = fn(*args)
     if out.dims != (1, 1, 1, 1):
         raise ContractError(f"grad_check target must return a 1x1x1x1 scalar, got {out.dims}")
-    backward(tape, out)
+    if out.requires_grad:  # else no input reaches it: every analytic gradient stays zero
+        backward(tape, out)
 
     entries = []
     for label, leaf in leaves.items():
         analytic = np.zeros(leaf.dims) if leaf.grad is None else leaf.grad
-        coords = _candidate_coords(leaf.dims, probe_masks.get(label), rng,
-                                   shuffled=max_coords is not None)
+        flat = _candidate_indices(leaf.dims, probe_masks.get(label), rng,
+                                  shuffled=max_coords is not None)
         if max_coords is None:
-            target = attempts = len(coords)
+            target = attempts = flat.size
         else:
             # skipped probes draw replacements, within a bounded budget
             target = max_coords
-            attempts = min(len(coords), max(6 * max_coords, max_coords + 12))
+            attempts = min(flat.size, max(6 * max_coords, max_coords + 12))
         probed = 0
         skipped = 0
         worst = 0.0
         worst_coord = None
-        for coord in coords[:attempts]:
+        for coord in zip(*(i.tolist() for i in np.unravel_index(flat[:attempts], leaf.dims))):
             if probed >= target:
                 break
             numeric = _central(fn, args, leaf, coord, EPS)

@@ -14,8 +14,8 @@ class Conv2d:
     names are ``<name>.w`` and ``<name>.b``; ``kernel`` is ``(kH, kW)``.
     """
 
-    def __init__(self, name, rng, c_in, c_out, kernel, spec=None, dtype=np.float32):
-        self.spec = spec or ConvSpec()
+    def __init__(self, name, rng, c_in, c_out, kernel, spec=ConvSpec(), dtype=np.float32):
+        self.spec = spec
         self.name = name
         self.weight = Parameter(name + ".w", kaiming_uniform(rng, (c_out, c_in, *kernel), dtype))
         self.bias = Parameter(name + ".b", np.zeros((1, c_out, 1, 1), dtype))

@@ -46,8 +46,7 @@ class WideFieldBlock:
     """Five-branch wide/asymmetric receptive field module."""
 
     def __init__(self, name, rng, c_in, c_out, dtype=np.float32):
-        point = ConvSpec()
-        self.branches = {1: [Conv2d(name + ".br1.point", rng, c_in, BRANCH_WIDTH, (1, 1), point,
+        self.branches = {1: [Conv2d(name + ".br1.point", rng, c_in, BRANCH_WIDTH, (1, 1),
                                     dtype=dtype)]}
         for k in (2, 3, 4):
             d = 2 * k - 1
@@ -56,16 +55,14 @@ class WideFieldBlock:
             col_spec = ConvSpec(padding=(pad, 0), dilation=(d, d))
             prefix = f"{name}.br{k}"
             self.branches[k] = [
-                Conv2d(prefix + ".point", rng, c_in, BRANCH_WIDTH, (1, 1), point, dtype=dtype),
+                Conv2d(prefix + ".point", rng, c_in, BRANCH_WIDTH, (1, 1), dtype=dtype),
                 Conv2d(prefix + ".row", rng, BRANCH_WIDTH, BRANCH_WIDTH, (1, d), row_spec,
                        dtype=dtype),
                 Conv2d(prefix + ".col", rng, BRANCH_WIDTH, BRANCH_WIDTH, (d, 1), col_spec,
                        dtype=dtype),
             ]
-        self.branches[5] = [Conv2d(name + ".br5.point", rng, c_in, c_out, (1, 1), point,
-                                   dtype=dtype)]
-        self.adjust = Conv2d(name + ".adjust", rng, 4 * BRANCH_WIDTH, c_out, (1, 1),
-                             point, dtype=dtype)
+        self.branches[5] = [Conv2d(name + ".br5.point", rng, c_in, c_out, (1, 1), dtype=dtype)]
+        self.adjust = Conv2d(name + ".adjust", rng, 4 * BRANCH_WIDTH, c_out, (1, 1), dtype=dtype)
 
     def parameters(self):
         params = []

@@ -246,7 +246,7 @@ def _reduce_broadcast(grad, dims):
 # Convolution
 # ---------------------------------------------------------------------------
 
-def conv2d(x, weight, bias=None, spec=None):
+def conv2d(x, weight, bias=None, spec=ConvSpec()):
     """Cross-correlate ``x`` with ``weight`` under ``spec``.
 
     ``weight`` dims are ``(C_out, C_in, kH, kW)``; an optional bias has
@@ -256,7 +256,6 @@ def conv2d(x, weight, bias=None, spec=None):
     so it is deterministic on one machine but not bit-exact across
     platforms.
     """
-    spec = spec or ConvSpec()
     _same_dtype(x, weight, bias)
     n, c, h, w = x.dims
     c_out, c_in, kh, kw = weight.dims
@@ -278,9 +277,15 @@ def conv2d(x, weight, bias=None, spec=None):
 _TILE_BYTES = 1 << 20
 
 
-def _padded(xd, spec):
-    py, px = spec.padding
-    return np.pad(xd, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else xd
+def _padded(xd, padding):
+    """``xd`` copied into a zero border of ``padding = (py, px)``; ``xd`` itself without one."""
+    py, px = padding
+    if not (py or px):
+        return xd
+    n, c, h, w = xd.shape
+    xp = np.zeros((n, c, h + 2 * py, w + 2 * px), xd.dtype)
+    xp[:, :, py:py + h, px:px + w] = xd
+    return xp
 
 
 def _taps(xp, kh, kw, spec, row0, rows, ow):
@@ -304,7 +309,7 @@ def _conv_forward(xd, wd, bias_d, spec, oh, ow):
     k = c * kh * kw
     out = np.zeros((n, c_out, oh * ow), xd.dtype)
     if out.size:
-        xp = _padded(xd, spec)
+        xp = _padded(xd, spec.padding)
         w2 = wd.reshape(c_out, k)
         step = _tile(oh, n * k * ow * xd.itemsize)
         for row0 in range(0, oh, step):
@@ -355,7 +360,7 @@ def _conv_backward(rec, grad_out):
         # grad_out @ cols^T per chunk of input channels, written in place
         grad_w = np.zeros_like(wd)
         if grad_out.size:
-            xp = _padded(xd, spec)
+            xp = _padded(xd, spec.padding)
             go2 = go.transpose(1, 0, 2).reshape(c_out, n * oh * ow)
             gw2 = grad_w.reshape(c_out, k)
             taps = kh * kw
@@ -551,7 +556,9 @@ def replicate_pad(x):
     n, c, h, w = x.dims
     if h < 1 or w < 1:
         raise DomainError(f"replicate_pad needs a non-empty spatial extent, got {h}x{w}")
-    out_d = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge")
+    out_d = _padded(x.data, (1, 1))
+    out_d[:, :, 1:-1, ::w + 1] = x.data[:, :, :, [0, -1]]  # first and last column
+    out_d[:, :, ::h + 1] = out_d[:, :, [1, -2]]  # first and last row, corners included
     return _record("replicate_pad", (x,), out_d)
 
 

@@ -85,6 +85,37 @@ def test_unused_input_has_zero_gradient():
     assert (y.label, y.probed, y.max_rel_err) == ("y", 4, 0.0)
 
 
+def test_constant_target_reports_zero_gradients():
+    # no input reaches the target, so no tape record produced it: nothing to differentiate
+    report = grad_check(lambda x, y: en.sum_all(en.ones((1, 1, 2, 2), np.float64)),
+                        {"x": np.ones((1, 1, 2, 2)), "y": np.ones((1, 2, 1, 3))})
+    assert report.ok
+    assert [(e.label, e.probed, e.skipped, e.max_rel_err) for e in report.entries] == [
+        ("x", 4, 0, 0.0), ("y", 6, 0, 0.0)]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_probe_draw_order_is_pinned(seed):
+    """Probed coordinates follow ``np.argwhere(mask)[rng.permutation(n)]``, input by input."""
+    r = rng(seed)
+    a0, b0 = r.standard_normal((1, 2, 3, 4)), r.standard_normal((2, 1, 3, 2))
+    mask = a0 > 0
+    perturbed = []
+
+    def fn(a, b):
+        # the one coordinate that differs from the check point is the one being probed
+        for label, leaf, start in (("a", a, a0), ("b", b, b0)):
+            perturbed.extend((label, tuple(c)) for c in np.argwhere(leaf.data != start))
+        return en.add(en.sum_all(en.square(a)), en.sum_all(en.square(b)))
+
+    grad_check(fn, {"a": a0, "b": b0}, rng=rng(seed), max_coords=5, probe_masks={"a": mask})
+    draw = rng(seed)
+    want = [("a", tuple(c)) for c in np.argwhere(mask)[draw.permutation(mask.sum())][:5]]
+    everywhere = np.ones(b0.shape, bool)
+    want += [("b", tuple(c)) for c in np.argwhere(everywhere)[draw.permutation(b0.size)][:5]]
+    assert perturbed[::2] == perturbed[1::2] == want  # one +eps and one -eps call per probe
+
+
 def test_probes_leave_an_enclosing_tape_untouched():
     with en.Tape() as outer:
         grad_check(lambda t: en.sum_all(en.relu(t)), {"x": rng(8).standard_normal((1, 1, 2, 4))})

@@ -88,6 +88,16 @@ class TestConvSpec:
         assert en.ConvSpec().out_hw(3, 4, 4, 4) == (0, 1)
 
 
+CONV_CASES = [
+    dict(x=(1, 2, 5, 5), w=(3, 2, 3, 3), spec=en.ConvSpec(padding=(1, 1))),
+    dict(x=(2, 3, 7, 6), w=(4, 3, 3, 2),
+         spec=en.ConvSpec(stride=(2, 1), padding=(2, 1), dilation=(1, 2))),
+    dict(x=(2, 6, 1, 1), w=(4, 6, 1, 1), spec=en.ConvSpec()),  # the channel gate's 1x1
+    dict(x=(2, 1, 7, 8), w=(1, 1, 3, 3), spec=en.ConvSpec()),  # Sobel on a channel mean
+    dict(x=(1, 64, 12, 12), w=(8, 64, 3, 3), spec=en.ConvSpec(padding=(1, 1))),  # K = 577
+]
+
+
 class TestConv2d:
     def test_zero_sum_kernel_on_constant_field(self):
         x = en.ones((1, 1, 3, 3), np.float64)
@@ -102,14 +112,7 @@ class TestConv2d:
         assert y.dims == (1, 1, 1, 1)
         assert y.item() == -8.0
 
-    @pytest.mark.parametrize("case", [
-        dict(x=(1, 2, 5, 5), w=(3, 2, 3, 3), spec=en.ConvSpec(padding=(1, 1))),
-        dict(x=(2, 3, 7, 6), w=(4, 3, 3, 2),
-             spec=en.ConvSpec(stride=(2, 1), padding=(2, 1), dilation=(1, 2))),
-        dict(x=(2, 6, 1, 1), w=(4, 6, 1, 1), spec=en.ConvSpec()),  # the channel gate's 1x1
-        dict(x=(2, 1, 7, 8), w=(1, 1, 3, 3), spec=en.ConvSpec()),  # Sobel on a channel mean
-        dict(x=(1, 64, 12, 12), w=(8, 64, 3, 3), spec=en.ConvSpec(padding=(1, 1))),  # K = 577
-    ])
+    @pytest.mark.parametrize("case", CONV_CASES)
     def test_matches_reference_within_rounding_bound(self, case):
         r = rng(42)
         x = r.standard_normal(case["x"])
@@ -117,6 +120,28 @@ class TestConv2d:
         b = r.standard_normal((1, case["w"][0], 1, 1))
         got = en.conv2d(en.Tensor(x), en.Tensor(w), en.Tensor(b), case["spec"]).data
         assert_within_rounding_bound(got, x, w, b, case["spec"])
+
+    @pytest.mark.parametrize("case", [c for c in CONV_CASES if any(c["spec"].padding)])
+    def test_padding_is_an_exact_copy(self, case):
+        # output and weight gradient equal, bit for bit, those of an np.pad-ed unpadded conv
+        r = rng(44)
+        x, w = r.standard_normal(case["x"]), r.standard_normal(case["w"])
+        b = en.Tensor(r.standard_normal((1, case["w"][0], 1, 1)))
+        spec = case["spec"]
+        py, px = spec.padding
+        x_pad = np.pad(x, ((0, 0), (0, 0), (py, py), (px, px)))
+        unpadded = en.ConvSpec(stride=spec.stride, dilation=spec.dilation)
+
+        def run(xd, s):
+            wt = en.Tensor(w, requires_grad=True)
+            with en.Tape() as tape:
+                y = en.conv2d(en.Tensor(xd), wt, b, s)
+                loss = en.sum_all(en.square(y))
+            en.backward(tape, loss)
+            return y.data, wt.grad
+
+        for got, want in zip(run(x, spec), run(x_pad, unpadded)):
+            assert np.array_equal(got, want)
 
     def test_tile_seams(self, monkeypatch):
         # one output row per im2col tile and one input channel per grad_w chunk
@@ -205,6 +230,12 @@ class TestPoolAndResample:
     def test_empty_spatial_is_domain_error(self):
         with pytest.raises(DomainError):
             en.global_avg_pool(en.zeros((1, 2, 0, 3)))
+
+    @pytest.mark.parametrize("dims", [(2, 3, 4, 5), (1, 2, 1, 5), (2, 1, 4, 1), (1, 1, 1, 1)])
+    def test_replicate_pad_is_an_exact_copy(self, dims):
+        x = rng(9).standard_normal(dims)
+        got = en.replicate_pad(en.Tensor(x)).data
+        assert np.array_equal(got, np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge"))
 
     def test_up2_replicates(self):
         x = en.Tensor(np.asarray([[[[1, 2], [3, 4]]]], np.float64))
