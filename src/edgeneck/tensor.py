@@ -278,24 +278,27 @@ _TILE_BYTES = 1 << 20
 
 
 def _padded(xd, padding):
-    """``xd`` copied into a zero border of ``padding = (py, px)``; ``xd`` itself without one."""
+    """``xd`` copied into a zero border of ``padding = (py, px)``; C-contiguous either way."""
     py, px = padding
     if not (py or px):
-        return xd
+        return np.ascontiguousarray(xd)
     n, c, h, w = xd.shape
     xp = np.zeros((n, c, h + 2 * py, w + 2 * px), xd.dtype)
     xp[:, :, py:py + h, px:px + w] = xd
     return xp
 
 
-def _taps(xp, kh, kw, spec, row0, rows, ow):
-    """Read-only im2col view ``(N, C, kH, kW, rows, OW)`` of output rows ``row0:row0+rows``."""
-    n, c = xp.shape[:2]
+def _taps(xp, kh, kw, spec, c0, cc, row0, rows, ow):
+    """Read-only im2col view ``(N, cc, kH, kW, rows, OW)`` from channel ``c0``, output row ``row0``.
+
+    ``xp`` is the view's buffer, so it must be C-contiguous.
+    """
     sn, sc, sh, sw = xp.strides
     (sy, sx), (dy, dx) = spec.stride, spec.dilation
-    return np.lib.stride_tricks.as_strided(
-        xp[:, :, row0 * sy:], (n, c, kh, kw, rows, ow),
-        (sn, sc, sh * dy, sw * dx, sh * sy, sw * sx), writeable=False)
+    cols = np.ndarray((xp.shape[0], cc, kh, kw, rows, ow), xp.dtype, xp, c0 * sc + row0 * sy * sh,
+                      (sn, sc, sh * dy, sw * dx, sh * sy, sw * sx))
+    cols.flags.writeable = False
+    return cols
 
 
 def _tile(count, unit_bytes):
@@ -315,7 +318,7 @@ def _conv_forward(xd, wd, bias_d, spec, oh, ow):
         for row0 in range(0, oh, step):
             rows = min(step, oh - row0)
             # a view for an unpadded 1x1 stride-1 conv; otherwise the im2col copy
-            cols = _taps(xp, kh, kw, spec, row0, rows, ow).reshape(n, k, rows * ow)
+            cols = _taps(xp, kh, kw, spec, 0, c, row0, rows, ow).reshape(n, k, rows * ow)
             np.matmul(w2, cols, out=out[:, :, row0 * ow:(row0 + rows) * ow])
     out = out.reshape(n, c_out, oh, ow)
     if bias_d is not None:
@@ -367,7 +370,7 @@ def _conv_backward(rec, grad_out):
             step = _tile(c, taps * n * oh * ow * xd.itemsize)
             for c0 in range(0, c, step):
                 cc = min(step, c - c0)
-                cols = _taps(xp[:, c0:c0 + cc], kh, kw, spec, 0, oh, ow)
+                cols = _taps(xp, kh, kw, spec, c0, cc, 0, oh, ow)
                 cols = cols.transpose(1, 2, 3, 0, 4, 5).reshape(cc * taps, n * oh * ow)
                 np.matmul(go2, cols.T, out=gw2[:, c0 * taps:(c0 + cc) * taps])
 

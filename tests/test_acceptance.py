@@ -40,14 +40,14 @@ def criterion(capsys):
 
 
 def test_gradient_suite(criterion):
-    with criterion("gradient suite: ops, blocks, pipeline at eps=1e-3, tol 1e-5, < 300 s"):
+    with criterion("gradient suite: ops, blocks, pipeline at eps=1e-5, tol 1e-6, < 300 s"):
         started = time.perf_counter()
         for label, thunk in checks_for_scope("all", seed=1):
             report = thunk()
-            assert report.eps == 1e-3, label
-            assert report.tol == 1e-5, label
+            assert report.eps == 1e-5, label
+            assert report.tol == 1e-6, label
             assert report.ok, f"{label}: {report.format()}"
-            assert report.max_rel_err < 1e-5, label
+            assert report.max_rel_err < 1e-6, label
         assert time.perf_counter() - started < 300.0
 
 

@@ -7,7 +7,7 @@ import edgeneck as en
 from edgeneck.errors import ContractError
 from edgeneck.gradcheck import EPS, grad_check
 from edgeneck.tensor import BACKWARD
-from edgeneck.verify import block_checks, op_checks
+from edgeneck.verify import block_checks, op_checks, pipeline_check, run_checks
 
 
 def rng(seed=0):
@@ -35,35 +35,27 @@ def test_sigmoid_chain_is_tight():
     assert report.max_rel_err < 1e-6
 
 
-def test_relu_with_probe_mask_passes():
-    x = rng(3).standard_normal((1, 3, 4, 4))
-    report = grad_check(
-        lambda t: en.sum_all(en.relu(t)),
-        {"x": x},
-        probe_masks={"x": np.abs(x) > 0.1},
-    )
-    assert report.ok
-    entry = report.entries[0]
-    assert entry.probed == int((np.abs(x) > 0.1).sum())
-
-
 def test_kink_straddling_probes_are_skipped():
     # every input sits within eps of the relu kink: nothing is probeable
-    x = np.full((1, 1, 2, 2), 2e-4)
+    x = np.full((1, 1, 2, 2), EPS / 10)
     report = grad_check(lambda t: en.sum_all(en.relu(t)), {"x": x})
     entry = report.entries[0]
     assert entry.probed == 0
     assert entry.skipped == 4
-    assert report.ok  # nothing measured, nothing failed
+    assert not report.ok  # nothing measured about x's gradient
+    assert report.unprobed == ["x"]
+    assert "x: probed=0 skipped=4 max_rel_err=0.000e+00 [no verified probe]" in report.format()
 
 
 @pytest.mark.parametrize("pool", [en.global_max_pool, en.down2_max], ids=lambda op: op.__name__)
 def test_pool_argmax_flip_is_guarded(pool):
-    # two near-tied elements: probing either straddles the argmax flip
-    x = np.asarray([[[[1.0, 1.0 + 1e-4], [0.0, 0.0]]]])
+    # four elements EPS / 10 apart: probing any of them straddles an argmax flip
+    x = 1.0 + EPS / 10 * np.arange(4.0).reshape(1, 1, 2, 2)
     report = grad_check(lambda t: en.sum_all(pool(t)), {"x": x})
-    assert report.entries[0].skipped >= 2
-    assert report.ok
+    entry = report.entries[0]
+    assert (entry.probed, entry.skipped) == (0, 4)
+    assert not report.ok
+    assert report.unprobed == ["x"]
 
 
 def test_edge_magnitude_zero_crossing_is_guarded():
@@ -73,7 +65,21 @@ def test_edge_magnitude_zero_crossing_is_guarded():
     gx, gy = report.entries
     assert (gx.probed, gx.skipped) == (0, 4)
     assert (gy.probed, gy.skipped) == (4, 0)
-    assert report.ok
+    assert not report.ok
+    assert report.unprobed == ["gx"]
+    assert report.max_rel_err < report.tol  # the failure is the unprobed input, not an error
+    lines = []
+    assert not run_checks([("op.edge", lambda: report)], emit=lines.append)
+    assert lines[0].startswith("op.edge: FAILED") and lines[0].endswith(" unprobed=gx")
+
+
+def test_directional_kink_guard_draws_replacements_within_budget():
+    # every coordinate sits EPS / 10 above the relu kink: almost every direction straddles it
+    report = grad_check(lambda t: en.sum_all(en.relu(t)), {"x": np.full((1, 2, 2, 2), EPS / 10)},
+                        rng=rng(9), directional=True)
+    entry = report.entries[0]
+    assert (entry.probed, entry.skipped) == (0, 13)
+    assert not report.ok
 
 
 def test_unused_input_has_zero_gradient():
@@ -96,10 +102,9 @@ def test_constant_target_reports_zero_gradients():
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_probe_draw_order_is_pinned(seed):
-    """Probed coordinates follow ``np.argwhere(mask)[rng.permutation(n)]``, input by input."""
+    """Probed coordinates follow ``np.argwhere(everywhere)[rng.permutation(n)]``, input by input."""
     r = rng(seed)
     a0, b0 = r.standard_normal((1, 2, 3, 4)), r.standard_normal((2, 1, 3, 2))
-    mask = a0 > 0
     perturbed = []
 
     def fn(a, b):
@@ -108,12 +113,37 @@ def test_probe_draw_order_is_pinned(seed):
             perturbed.extend((label, tuple(c)) for c in np.argwhere(leaf.data != start))
         return en.add(en.sum_all(en.square(a)), en.sum_all(en.square(b)))
 
-    grad_check(fn, {"a": a0, "b": b0}, rng=rng(seed), max_coords=5, probe_masks={"a": mask})
+    grad_check(fn, {"a": a0, "b": b0}, rng=rng(seed), max_coords=5)
     draw = rng(seed)
-    want = [("a", tuple(c)) for c in np.argwhere(mask)[draw.permutation(mask.sum())][:5]]
-    everywhere = np.ones(b0.shape, bool)
-    want += [("b", tuple(c)) for c in np.argwhere(everywhere)[draw.permutation(b0.size)][:5]]
+    want = []
+    for label, start in (("a", a0), ("b", b0)):
+        everywhere = np.ones(start.shape, bool)
+        want += [(label, tuple(c))
+                 for c in np.argwhere(everywhere)[draw.permutation(start.size)][:5]]
     assert perturbed[::2] == perturbed[1::2] == want  # one +eps and one -eps call per probe
+
+
+def test_directional_probe_moves_each_input_along_one_unit_direction():
+    """Directions are ``rng.standard_normal(dims)`` normalised, drawn input by input."""
+    r = rng(12)
+    a0, b0 = r.standard_normal((1, 2, 3, 4)), r.standard_normal((2, 1, 3, 2))
+    moves = []
+
+    def fn(a, b):
+        moves.append((a.data - a0, b.data - b0))
+        return en.add(en.sum_all(en.square(a)), en.sum_all(en.sigmoid(b)))
+
+    report = grad_check(fn, {"a": a0, "b": b0}, rng=rng(13), directional=True)
+    assert report.ok
+    assert [(e.probed, e.skipped) for e in report.entries] == [(1, 0), (1, 0)]
+    draw = rng(13)
+    u = [draw.standard_normal(d) for d in (a0.shape, b0.shape)]
+    u = [v / np.linalg.norm(v) for v in u]
+    assert len(moves) == 5  # the taped forward, then +eps and -eps per input
+    assert not moves[0][0].any() and not moves[0][1].any()
+    for (da, db), want_a, want_b in zip(moves[1:], (u[0], -u[0], 0, 0), (0, 0, u[1], -u[1])):
+        np.testing.assert_allclose(da, EPS * np.asarray(want_a), rtol=1e-9, atol=1e-20)
+        np.testing.assert_allclose(db, EPS * np.asarray(want_b), rtol=1e-9, atol=1e-20)
 
 
 def test_probes_leave_an_enclosing_tape_untouched():
@@ -151,12 +181,6 @@ def test_requires_scalar_target():
         grad_check(lambda x: en.square(x), {"x": np.ones((1, 1, 2, 2))})
 
 
-def test_mask_for_unknown_input_rejected():
-    with pytest.raises(ContractError):
-        grad_check(lambda x: en.sum_all(x), {"x": np.ones((1, 1, 2, 2))},
-                   probe_masks={"y": np.ones((1, 1, 2, 2), bool)})
-
-
 def test_report_format_lines():
     report = grad_check(
         lambda x: en.sum_all(en.square(x)),
@@ -174,22 +198,43 @@ def test_runs_in_float64_regardless_of_input_dtype():
 
 
 def _steep_sigmoid(x):
-    # sigmoid(20 x) near 0: the central difference alone misses by up to 3.6e-5
+    # sigmoid(20 x) near 0: a step of 1e-3 misses by up to 3.6e-5, and EPS by about 3.6e-9
     return en.sum_all(en.sigmoid(en.mul(x, en.full((1, 1, 1, 1), 20.0, np.float64))))
 
 
 def test_curved_probe_is_re_estimated():
+    """A strongly curved probe passes on the plain central difference at EPS."""
     x = np.linspace(-0.12, 0.12, 6).reshape(1, 1, 2, 3)
     report = grad_check(_steep_sigmoid, {"x": x})
     assert report.ok
+    assert report.max_rel_err < report.tol / 100
     assert report.entries[0].probed == 6
 
 
-def test_re_estimate_still_catches_a_small_bug(monkeypatch):
+def test_sigmoid_backward_off_by_2e_6_is_caught(monkeypatch):
     original = BACKWARD["sigmoid"]
-    monkeypatch.setitem(BACKWARD, "sigmoid", lambda rec, g: (original(rec, g)[0] * (1 + 1e-3),))
+    monkeypatch.setitem(BACKWARD, "sigmoid", lambda rec, g: (original(rec, g)[0] * (1 + 2e-6),))
     x = np.linspace(-0.12, 0.12, 6).reshape(1, 1, 2, 3)
     assert not grad_check(_steep_sigmoid, {"x": x}).ok
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_pipeline_passes_at_seeds_1_to_5(seed):
+    [(_, run)] = pipeline_check(seed)
+    report = run()
+    assert report.ok, report.format()
+
+
+@pytest.mark.parametrize("op", ["conv2d", "sigmoid"])
+def test_pipeline_catches_a_backward_off_by_1e_5(monkeypatch, op):
+    original = BACKWARD[op]
+
+    def scaled(rec, grad_out):
+        return tuple(None if g is None else g * (1 + 1e-5) for g in original(rec, grad_out))
+
+    monkeypatch.setitem(BACKWARD, op, scaled)
+    [(_, run)] = pipeline_check(1)
+    assert not run().ok
 
 
 def test_op_checks_reach_every_backward_rule(monkeypatch):
