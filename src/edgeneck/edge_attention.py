@@ -1,13 +1,13 @@
 """Edge-guided attention: fixed Sobel edge extraction plus a channel gate.
 
 The block sharpens the two finest backbone features.  Each feature is
-averaged over its channels and cross-correlated with the constant 3x3
-Sobel pair, giving one horizontal and one vertical derivative map (by
-linearity, the mean of the per-channel Sobel responses), and the
-Euclidean magnitude of the pair multiplies the feature,
-channel-broadcast.  The second (stride-8) feature additionally passes
-through a channel-wise attention gate driven by globally pooled
-descriptors through a shared two-layer bottleneck.
+averaged over its channels by a 1x1 convolution and cross-correlated
+with the constant 3x3 Sobel pair, giving one horizontal and one
+vertical derivative map (by linearity, the mean of the per-channel
+Sobel responses), and the Euclidean magnitude of the pair multiplies
+the feature, channel-broadcast.  The second (stride-8) feature
+additionally passes through a channel-wise attention gate driven by
+globally pooled descriptors through a shared two-layer bottleneck.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
 from .tensor import (
-    Parameter, Tensor, add, channel_mean, conv2d, edge_magnitude,
-    global_avg_pool, global_max_pool, kaiming_uniform, mul, relu,
-    replicate_pad, sigmoid,
+    Parameter, Tensor, add, conv2d, edge_magnitude, global_avg_pool,
+    global_max_pool, kaiming_uniform, mul, relu, replicate_pad, sigmoid,
 )
 
 # Horizontal-derivative kernel; the vertical one is its transpose.
@@ -31,18 +30,20 @@ SOBEL_Y = tuple(zip(*SOBEL_X))
 def deep_sobel(x):
     """Sobel pair on the channel mean: one derivative map per direction.
 
-    Returns ``(grad_x, grad_y)``, each ``N x 1 x H x W``.  Sobel is
-    linear, so this equals the mean of the per-channel Sobel responses.
-    The kernels are constants; gradient flows only to ``x``.  The
-    one-pixel pad replicates border values rather than inserting zeros:
-    flat regions then produce zero response everywhere, including at the
-    image border, and adding a constant offset to the input leaves the
-    output unchanged.
+    Returns ``(grad_x, grad_y)``, each ``N x 1 x H x W``.  The channel
+    mean is a bias-free 1x1 convolution with every weight ``1/C``.  Sobel
+    is linear, so this equals the mean of the per-channel Sobel
+    responses.  All kernels are constants; gradient flows only to ``x``.
+    The one-pixel pad replicates border values rather than inserting
+    zeros: flat regions then produce zero response everywhere, including
+    at the image border, and adding a constant offset to the input leaves
+    the output unchanged.
     """
-    n, c, h, w = x.dims
-    if h < 1 or w < 1:
-        raise DomainError(f"deep_sobel needs a non-empty spatial extent, got {h}x{w}")
-    padded = replicate_pad(channel_mean(x))
+    c = x.dims[1]
+    if c < 1:
+        raise DomainError("deep_sobel over zero channels")
+    mean = conv2d(x, Tensor(np.full((1, c, 1, 1), 1.0 / c, x.dtype)))
+    padded = replicate_pad(mean)
     kx = Tensor(np.asarray(SOBEL_X, x.dtype).reshape(1, 1, 3, 3))
     ky = Tensor(np.asarray(SOBEL_Y, x.dtype).reshape(1, 1, 3, 3))
     return conv2d(padded, kx), conv2d(padded, ky)

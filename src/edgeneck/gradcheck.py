@@ -9,11 +9,14 @@ eps`` against truncation ``eps^2 |f'''| / 6`` (Nocedal and Wright,
 Each evaluation runs on its own tape; a probe whose two tapes hold
 different ``branch`` entries (it straddles a relu kink or a pooling
 arg-max flip) is skipped and counted.  An input left with no verified
-probe fails the check: nothing was measured about its gradient.
+probe fails the check: nothing was measured about its gradient.  A probe
+whose analytic or numeric derivative is not finite scores an infinite
+error, so a NaN gradient fails too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -80,6 +83,9 @@ class GradCheckReport:
 
 
 def _rel_err(analytic, numeric):
+    """``inf`` unless both values are finite: a NaN would lose every comparison and pass."""
+    if not (math.isfinite(analytic) and math.isfinite(numeric)):
+        return math.inf
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 

@@ -10,12 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def tensor_stats(arr):
     """min/max/mean/L2 of an array, accumulated in f64."""
     data = np.asarray(arr, np.float64)
@@ -40,7 +34,7 @@ def build_report(config, named, timings=None):
         dims = "x".join(str(d) for d in tensor.dims)
         lines.append(f"shape.{name}={dims}")
         for stat, value in tensor_stats(tensor.data).items():
-            lines.append(f"stats.{name}.{stat}={fmt(value)}")
+            lines.append(f"stats.{name}.{stat}={value!r}")
     if timings:
         for label, seconds in timings.items():
             lines.append(f"time.{label}={seconds:.6f}")

@@ -441,15 +441,6 @@ def _sigmoid_backward(rec, grad_out):
     return (grad_out * s * (1.0 - s),)
 
 
-def square(x):
-    return _record("square", (x,), x.data * x.data)
-
-
-def _square_backward(rec, grad_out):
-    (x,) = rec.inputs
-    return (grad_out * (2.0 * x.data),)
-
-
 def edge_magnitude(gx, gy):
     """Pointwise sqrt(gx^2 + gy^2) with a zero gradient at exactly (0, 0).
 
@@ -566,36 +557,15 @@ def replicate_pad(x):
 
 
 def _replicate_pad_backward(rec, grad_out):
-    (x,) = rec.inputs
-    n, c, h, w = x.dims
-    g = grad_out[:, :, 1:h + 1, 1:w + 1].copy()
-    # Border rows/columns received up to three replicas; fold their
-    # gradients back.  When h == 1 (or w == 1) the two edge statements
-    # target the same row (column), which is exactly the replica count.
-    g[:, :, 0, :] += grad_out[:, :, 0, 1:w + 1]
-    g[:, :, h - 1, :] += grad_out[:, :, h + 1, 1:w + 1]
-    g[:, :, :, 0] += grad_out[:, :, 1:h + 1, 0]
-    g[:, :, :, w - 1] += grad_out[:, :, 1:h + 1, w + 1]
-    g[:, :, 0, 0] += grad_out[:, :, 0, 0]
-    g[:, :, 0, w - 1] += grad_out[:, :, 0, w + 1]
-    g[:, :, h - 1, 0] += grad_out[:, :, h + 1, 0]
-    g[:, :, h - 1, w - 1] += grad_out[:, :, h + 1, w + 1]
-    return (g,)
-
-
-def channel_mean(x):
-    """Average across channels, to N x 1 x H x W."""
-    n, c, h, w = x.dims
-    if c < 1:
-        raise DomainError("channel_mean over zero channels")
-    out_d = x.data.mean(axis=1, keepdims=True).astype(x.dtype, copy=False)
-    return _record("channel_mean", (x,), out_d)
-
-
-def _channel_mean_backward(rec, grad_out):
-    (x,) = rec.inputs
-    n, c, h, w = x.dims
-    g = np.broadcast_to(grad_out / c, (n, c, h, w)).astype(grad_out.dtype, copy=True)
+    # Fold the border columns, then the border rows, onto the edges they
+    # copy; the corners ride along with the columns.  At w == 1 (h == 1)
+    # both folds land on the one column (row), which is the replica count.
+    cols = grad_out[:, :, :, 1:-1].copy()
+    cols[:, :, :, 0] += grad_out[:, :, :, 0]
+    cols[:, :, :, -1] += grad_out[:, :, :, -1]
+    g = cols[:, :, 1:-1].copy()
+    g[:, :, 0] += cols[:, :, 0]
+    g[:, :, -1] += cols[:, :, -1]
     return (g,)
 
 
@@ -644,14 +614,12 @@ BACKWARD = {
     "mul": _mul_backward,
     "relu": _relu_backward,
     "sigmoid": _sigmoid_backward,
-    "square": _square_backward,
     "edge_magnitude": _edge_magnitude_backward,
     "global_avg_pool": _global_avg_pool_backward,
     "global_max_pool": _global_max_pool_backward,
     "up2_nearest": _up2_nearest_backward,
     "down2_max": _down2_max_backward,
     "replicate_pad": _replicate_pad_backward,
-    "channel_mean": _channel_mean_backward,
     "concat_channels": _concat_channels_backward,
     "sum_all": _sum_all_backward,
 }

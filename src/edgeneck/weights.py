@@ -34,19 +34,14 @@ _CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def pack_entries(entries):
-    """Serialize ordered (name, 4-D float array) pairs to bytes."""
-    items = list(entries.items()) if isinstance(entries, dict) else list(entries)
-    chunks = [MAGIC, struct.pack("<HI", VERSION, len(items))]
-    seen = set()
-    for name, arr in items:
+    """Serialize an ordered name -> 4-D float array dict to bytes."""
+    chunks = [MAGIC, struct.pack("<HI", VERSION, len(entries))]
+    for name, arr in entries.items():
         arr = np.ascontiguousarray(arr)
         if arr.dtype not in _DTYPE_CODE:
             raise FormatError(f"{name}: unsupported dtype {arr.dtype} for serialization")
         if arr.ndim != 4:
             raise FormatError(f"{name}: only rank-4 tensors are serializable, got {arr.ndim}")
-        if name in seen:
-            raise FormatError(f"duplicate tensor name {name!r}")
-        seen.add(name)
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)

@@ -160,6 +160,20 @@ class TestForward:
         assert code == 0, err
         assert parse_report(out)["config.input"] == "noise_img.ppm"
 
+    def test_grey_image_is_replicated_to_three_channels(self, run_cli, tmp_path, monkeypatch):
+        grey = np.random.default_rng(4).integers(0, 256, (64, 64), dtype=np.uint8)
+        write_gray(tmp_path / "grey.pgm", grey)
+        write_color(tmp_path / "grey.ppm", np.repeat(grey[:, :, None], 3, axis=2))
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for name in ("grey.pgm", "grey.ppm"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(SMALL_CFG.replace("noise:64x64", name))
+            code, out, err = run_cli("forward", "--config", cfg)
+            assert code == 0, err
+            reports.append(out.replace(name, "<input>"))
+        assert reports[0] == reports[1]  # the same image as a PPM with three equal channels
+
     def test_forward_with_weights_roundtrip(self, run_cli, small_cfg, tmp_path):
         box = tmp_path / "w.erlw"
         assert run_cli("weights", "dump", box, "--config", small_cfg)[0] == 0
@@ -240,6 +254,15 @@ class TestWeights:
         assert run_cli("weights", "dump", box, "--config", f64_cfg)[0] == 0
         code, _, err = run_cli("weights", "load-verify", box, "--config", f32_cfg)
         assert code == 3 and "refused" in err
+
+    def test_unexpected_reference_entry_exits_3(self, run_cli, small_cfg, tmp_path):
+        box = tmp_path / "w.erlw"
+        run_cli("weights", "dump", box, "--config", small_cfg)
+        entries = unpack_entries(box.read_bytes())
+        entries["check.out.s128"] = entries["check.out.s64"]
+        box.write_bytes(pack_entries(entries))
+        code, _, err = run_cli("weights", "load-verify", box, "--config", small_cfg)
+        assert code == 3 and "unexpected reference entry 'check.out.s128'" in err
 
     def test_container_without_references_rejected(self, run_cli, small_cfg, tmp_path):
         box = tmp_path / "w.erlw"

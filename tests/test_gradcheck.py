@@ -1,5 +1,7 @@
 """The finite-difference checker itself: passes, failures, kink guard."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -111,7 +113,7 @@ def test_probe_draw_order_is_pinned(seed):
         # the one coordinate that differs from the check point is the one being probed
         for label, leaf, start in (("a", a, a0), ("b", b, b0)):
             perturbed.extend((label, tuple(c)) for c in np.argwhere(leaf.data != start))
-        return en.add(en.sum_all(en.square(a)), en.sum_all(en.square(b)))
+        return en.add(en.sum_all(en.mul(a, a)), en.sum_all(en.mul(b, b)))
 
     grad_check(fn, {"a": a0, "b": b0}, rng=rng(seed), max_coords=5)
     draw = rng(seed)
@@ -131,7 +133,7 @@ def test_directional_probe_moves_each_input_along_one_unit_direction():
 
     def fn(a, b):
         moves.append((a.data - a0, b.data - b0))
-        return en.add(en.sum_all(en.square(a)), en.sum_all(en.sigmoid(b)))
+        return en.add(en.sum_all(en.mul(a, a)), en.sum_all(en.sigmoid(b)))
 
     report = grad_check(fn, {"a": a0, "b": b0}, rng=rng(13), directional=True)
     assert report.ok
@@ -167,9 +169,22 @@ def test_corrupted_backward_is_detected(monkeypatch):
     assert worst.label == "a"
 
 
+def test_nan_gradient_fails(monkeypatch):
+    # a NaN loses every comparison: it must score as an infinite error, not pass
+    original = BACKWARD["mul"]
+    monkeypatch.setitem(BACKWARD, "mul",
+                        lambda rec, g: tuple(gi * np.nan for gi in original(rec, g)))
+    report = grad_check(lambda x: en.sum_all(en.mul(x, x)),
+                        {"x": rng(14).standard_normal((1, 1, 2, 2))})
+    assert not report.ok
+    assert report.entries[0].max_rel_err == report.max_rel_err == math.inf
+    assert "x: probed=4 skipped=0 max_rel_err=inf" in report.format()
+    assert report.format().endswith("[FAILED]")
+
+
 def test_max_coords_caps_probe_count():
     report = grad_check(
-        lambda x: en.sum_all(en.square(x)),
+        lambda x: en.sum_all(en.mul(x, x)),
         {"x": rng(5).standard_normal((1, 4, 8, 8))},
         max_coords=5,
     )
@@ -178,12 +193,12 @@ def test_max_coords_caps_probe_count():
 
 def test_requires_scalar_target():
     with pytest.raises(ContractError):
-        grad_check(lambda x: en.square(x), {"x": np.ones((1, 1, 2, 2))})
+        grad_check(lambda x: en.mul(x, x), {"x": np.ones((1, 1, 2, 2))})
 
 
 def test_report_format_lines():
     report = grad_check(
-        lambda x: en.sum_all(en.square(x)),
+        lambda x: en.sum_all(en.mul(x, x)),
         {"x": rng(6).standard_normal((1, 1, 2, 2))},
     )
     text = report.format()
@@ -237,8 +252,8 @@ def test_pipeline_catches_a_backward_off_by_1e_5(monkeypatch, op):
     assert not run().ok
 
 
-def test_op_checks_reach_every_backward_rule(monkeypatch):
-    """Coverage from what the op checks run: every backward rule is called."""
+def _count_rule_calls(monkeypatch):
+    """Wrap every backward rule in a call counter; returns the live op -> calls map."""
     calls = dict.fromkeys(BACKWARD, 0)
 
     def counted(op, rule):
@@ -249,8 +264,29 @@ def test_op_checks_reach_every_backward_rule(monkeypatch):
 
     for op, rule in list(BACKWARD.items()):
         monkeypatch.setitem(BACKWARD, op, counted(op, rule))
+    return calls
+
+
+def test_op_checks_reach_every_backward_rule(monkeypatch):
+    """Coverage from what the op checks run: every backward rule is called."""
+    calls = _count_rule_calls(monkeypatch)
     for _, thunk in op_checks(1):
         thunk()
+    assert [op for op, n in calls.items() if n == 0] == []
+
+
+def test_network_backward_runs_every_rule(monkeypatch):
+    """The tensor core holds no rule the pipeline does not use."""
+    calls = _count_rule_calls(monkeypatch)
+    net = en.Network(seed=1, channels=(4, 8, 8, 16, 16), pyramid_width=8, fa_mode="full",
+                     reduction=4, dtype=np.float64)
+    with en.Tape() as tape:
+        outputs = net.forward(en.noise_image(1, 64, 64, np.float64)).outputs.tensors()
+        loss = en.sum_all(outputs[0])
+        for t in outputs[1:]:
+            loss = en.add(loss, en.sum_all(t))
+    en.backward(tape, loss)
+    assert len(calls) == 13
     assert [op for op, n in calls.items() if n == 0] == []
 
 

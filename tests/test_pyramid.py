@@ -1,8 +1,10 @@
 """Top-down pyramid fusion: width, shape, and dependency direction."""
 
 import numpy as np
+import pytest
 
 import edgeneck as en
+from edgeneck.errors import ContractError, ShapeError
 
 
 def make_levels(channels=(6, 10, 14, 18), base=32, seed=0, bump=None):
@@ -80,3 +82,23 @@ class TestDependencyDirection:
         moved = pyr(levels)
         assert not np.array_equal(base.by_stride(32).tensor.data,
                                   moved.by_stride(32).tensor.data)
+
+
+def _level(stride, n=1, hw=None):
+    hw = 32 // stride if hw is None else hw
+    return en.PyramidLevel(stride, en.zeros((n, 2, hw, hw)))
+
+
+@pytest.mark.parametrize("build, error, fragment", [
+    (lambda: en.PyramidSet([]), ContractError, "at least one level"),
+    (lambda: en.PyramidSet([_level(4), _level(16)]), ContractError,
+     "strides must double per level, got 4 then 16"),
+    (lambda: en.PyramidSet([_level(4), _level(8, hw=3)]), ShapeError,
+     "level at stride 8 has spatial 3x3, inconsistent with source resolution 32x32"),
+    (lambda: en.PyramidSet([_level(4), _level(8, n=2)]), ContractError, "one batch size"),
+    (lambda: en.PyramidSet([_level(4), _level(8)]).by_stride(16), ContractError,
+     r"no level with stride 16; have \(4, 8\)"),
+], ids=["empty", "strides", "resolution", "batch", "by_stride"])
+def test_level_contract_refusals(build, error, fragment):
+    with pytest.raises(error, match=fragment):
+        build()

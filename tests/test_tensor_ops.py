@@ -136,7 +136,7 @@ class TestConv2d:
             wt = en.Tensor(w, requires_grad=True)
             with en.Tape() as tape:
                 y = en.conv2d(en.Tensor(xd), wt, b, s)
-                loss = en.sum_all(en.square(y))
+                loss = en.sum_all(en.mul(y, y))
             en.backward(tape, loss)
             return y.data, wt.grad
 
@@ -201,7 +201,7 @@ class TestElementwise:
     def test_three_four_five(self):
         gx = en.full((1, 1, 1, 1), 3.0)
         gy = en.full((1, 1, 1, 1), 4.0)
-        assert en.add(en.square(gx), en.square(gy)).item() == 25.0
+        assert en.add(en.mul(gx, gx), en.mul(gy, gy)).item() == 25.0
         assert en.edge_magnitude(gx, gy).item() == 5.0
 
     def test_incompatible_broadcast(self):
@@ -236,6 +236,17 @@ class TestPoolAndResample:
         x = rng(9).standard_normal(dims)
         got = en.replicate_pad(en.Tensor(x)).data
         assert np.array_equal(got, np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), mode="edge"))
+
+    @pytest.mark.parametrize("dims", [(1, 2, 1, 4), (1, 2, 3, 1), (2, 1, 1, 1)])
+    def test_replicate_pad_gradient_at_unit_extent(self, dims):
+        # at H = 1 (W = 1) both border rows (columns) fold onto the one row (column)
+        r = rng(10)
+        n, c, h, w = dims
+        weights = en.Tensor(r.standard_normal((n, c, h + 2, w + 2)))
+        report = grad_check(lambda x: en.sum_all(en.mul(en.replicate_pad(x), weights)),
+                            {"x": r.standard_normal(dims)})
+        assert report.ok, report.format()
+        assert report.probed == n * c * h * w
 
     def test_up2_replicates(self):
         x = en.Tensor(np.asarray([[[[1, 2], [3, 4]]]], np.float64))
@@ -293,9 +304,3 @@ class TestConcatSliceLinear:
         b = r.standard_normal((1, 3, 1, 1))
         got = en.conv2d(en.Tensor(x), en.Tensor(w), en.Tensor(b)).data
         assert np.max(np.abs(got - linear_reference(x, w, b))) < 1e-12
-
-    def test_channel_mean(self):
-        x = en.Tensor(rng(6).standard_normal((2, 5, 3, 3)))
-        got = en.channel_mean(x)
-        assert got.dims == (2, 1, 3, 3)
-        assert np.allclose(got.data[:, 0], x.data.mean(axis=1), atol=1e-12)

@@ -71,11 +71,6 @@ class TestPackValidation:
         with pytest.raises(FormatError, match="rank"):
             pack_entries({"x": np.zeros((2, 2), np.float32)})
 
-    def test_duplicate_name_rejected(self):
-        pairs = [("x", np.zeros((1, 1, 1, 1), np.float32))] * 2
-        with pytest.raises(FormatError, match="duplicate"):
-            pack_entries(pairs)
-
 
 class TestUnpackValidation:
     def test_bad_magic(self):
@@ -102,6 +97,24 @@ class TestUnpackValidation:
                 + struct.pack("<B4IB", 4, 1, 1, 1, 1, 0) + bytes(4))
         with pytest.raises(FormatError, match="entry 0 name .* not valid UTF-8"):
             unpack_entries(blob)
+
+    @pytest.mark.parametrize("offset, was, value, message", [
+        (13, 4, 3, "x: rank must be 4, got 3"),  # rank byte after magic, header and name
+        (30, 0, 7, "x: unknown dtype code 7"),  # dtype byte after rank and four dims
+    ])
+    def test_patched_descriptor_names_the_entry(self, offset, was, value, message):
+        blob = bytearray(pack_entries({"x": np.zeros((1, 1, 1, 1), np.float32)}))
+        assert blob[offset] == was
+        blob[offset] = value
+        with pytest.raises(FormatError, match=message):
+            unpack_entries(bytes(blob))
+
+    def test_repeated_name_rejected(self):
+        zeros = np.zeros((1, 1, 1, 1), np.float32)
+        blob = pack_entries({"a": zeros, "b": zeros})
+        assert blob.count(b"b") == 1  # the second name; the zero payloads hold no such byte
+        with pytest.raises(FormatError, match="duplicate tensor name 'a'"):
+            unpack_entries(blob.replace(b"b", b"a"))
 
     def test_dims_product_beyond_int64_is_truncation(self):
         # 65536**4 = 2**64 wraps to 0 in int64 arithmetic
