@@ -6,6 +6,9 @@ immutable tensors.  While a :class:`Tape` is active, ops whose result
 depends on a gradient-carrying tensor append a record; :func:`backward`
 replays those records in exact reverse creation order and accumulates
 ``d(root)/d(leaf)`` into the ``grad`` of every leaf it reaches, made on first reach.
+Inside :func:`op_memo`, which one gradient check opens, an op called
+with the arguments of a stored call returns that call's output instead
+of computing it again.
 
 Convolution uses the cross-correlation convention (no kernel flip) and is
 lowered to im2col plus one matrix multiply (GEMM), forward and backward.
@@ -19,7 +22,9 @@ deterministic on one machine.
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,6 +192,88 @@ def _record(op, inputs, data, **saved):
 
 
 # ---------------------------------------------------------------------------
+# Op results reused within one gradient check
+# ---------------------------------------------------------------------------
+
+_MEMO = None  # the _Memo of the gradient check running now, if any
+
+
+class _Memo(dict):
+    """Op results of a gradient check's taped base forward, for its probes to reuse.
+
+    While ``store`` is set, every op stores its output and tape record
+    under its key; after, an op whose key is stored returns that output
+    and appends that record to the active tape, and any other op computes
+    as usual and stores nothing.
+    """
+
+    store = True
+
+
+@contextmanager
+def op_memo():
+    """A fresh memo that ops use until the block exits; it is emptied then."""
+    global _MEMO
+    memo = _Memo()
+    outer, _MEMO = _MEMO, memo
+    try:
+        yield memo
+    finally:
+        _MEMO = outer
+        memo.clear()
+
+
+def _memo_key(value, held):
+    """One argument's part of an op key; arrays keyed by identity are appended to ``held``.
+
+    A gradient-carrying tensor is keyed by its data array, which is never
+    written (a probe swaps in a new one) and is kept alive by ``held``, so
+    the identity names the values; any other tensor, such as a kernel
+    built anew on each call, by its dims, dtype and bytes.
+    """
+    if isinstance(value, Tensor):
+        if value.requires_grad:
+            held.append(value.data)
+            return id(value.data)
+        return value.dims, value.data.dtype.str, value.data.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(_memo_key(v, held) for v in value)
+    return value
+
+
+def _reused(key):
+    """The stored output for ``key``, its record appended to the active tape; None if absent."""
+    entry = _MEMO.get(key)
+    if entry is None:
+        return None
+    out, rec, _ = entry
+    if rec is not None and _TAPE_STACK:
+        _TAPE_STACK[-1].records.append(rec)
+    return out
+
+
+def _reusable(op):
+    """``op``, storing or reusing its results while an :func:`op_memo` is active."""
+    name = op.__name__
+
+    @functools.wraps(op)
+    def call(*args, **kwargs):
+        if _MEMO is None:
+            return op(*args, **kwargs)
+        held = []
+        key = name, _memo_key(args, held), _memo_key(tuple(kwargs.items()), held)
+        if not _MEMO.store:
+            out = _reused(key)
+            return op(*args, **kwargs) if out is None else out
+        out = op(*args, **kwargs)
+        records = _TAPE_STACK[-1].records if _TAPE_STACK else ()
+        rec = records[-1] if records and records[-1].output is out else None
+        _MEMO[key] = out, rec, held
+        return out
+    return call
+
+
+# ---------------------------------------------------------------------------
 # Shape helpers
 # ---------------------------------------------------------------------------
 
@@ -246,6 +333,7 @@ def _reduce_broadcast(grad, dims):
 # Convolution
 # ---------------------------------------------------------------------------
 
+@_reusable
 def conv2d(x, weight, bias=None, spec=ConvSpec()):
     """Cross-correlate ``x`` with ``weight`` under ``spec``.
 
@@ -392,6 +480,7 @@ def _check_broadcast(a_dims, b_dims):
             )
 
 
+@_reusable
 def add(a, b):
     _same_dtype(a, b)
     _check_broadcast(a.dims, b.dims)
@@ -405,6 +494,7 @@ def _add_backward(rec, grad_out):
     return ga, gb
 
 
+@_reusable
 def mul(a, b):
     _same_dtype(a, b)
     _check_broadcast(a.dims, b.dims)
@@ -418,6 +508,7 @@ def _mul_backward(rec, grad_out):
     return ga, gb
 
 
+@_reusable
 def relu(x):
     mask = x.data > 0
     return _record("relu", (x,), np.where(mask, x.data, x.data.dtype.type(0)), branch=mask)
@@ -427,6 +518,7 @@ def _relu_backward(rec, grad_out):
     return (grad_out * rec.saved["branch"],)
 
 
+@_reusable
 def sigmoid(x):
     xd = x.data
     # exp of a non-positive argument only, so large |x| cannot overflow
@@ -441,6 +533,7 @@ def _sigmoid_backward(rec, grad_out):
     return (grad_out * s * (1.0 - s),)
 
 
+@_reusable
 def edge_magnitude(gx, gy):
     """Pointwise sqrt(gx^2 + gy^2) with a zero gradient at exactly (0, 0).
 
@@ -477,6 +570,7 @@ def _spatial_flat(x, op):
     return x.data.reshape(n, c, h * w)
 
 
+@_reusable
 def global_avg_pool(x):
     """Average over all H*W positions per sample and channel, to N x C x 1 x 1."""
     n, c = x.dims[:2]
@@ -484,6 +578,7 @@ def global_avg_pool(x):
     return _record("global_avg_pool", (x,), out_d.astype(x.dtype, copy=False))
 
 
+@_reusable
 def global_max_pool(x):
     """Maximum over all H*W positions per sample and channel, to N x C x 1 x 1."""
     n, c = x.dims[:2]
@@ -508,11 +603,13 @@ def _global_max_pool_backward(rec, grad_out):
     return (flat.reshape(n, c, h, w),)
 
 
+@_reusable
 def up2_nearest(x):
     """Double H and W by replicating each pixel into a 2x2 block."""
     return _record("up2_nearest", (x,), np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3))
 
 
+@_reusable
 def down2_max(x):
     """Halve H and W by a 2x2, stride-2 max."""
     n, c, h, w = x.dims
@@ -540,6 +637,7 @@ def _down2_max_backward(rec, grad_out):
     return (np.ascontiguousarray(g),)
 
 
+@_reusable
 def replicate_pad(x):
     """Grow H and W by one pixel on each side, repeating the border values.
 
@@ -569,6 +667,7 @@ def _replicate_pad_backward(rec, grad_out):
     return (g,)
 
 
+@_reusable
 def concat_channels(xs):
     """Concatenate along the channel axis, preserving input order."""
     xs = tuple(xs)
@@ -594,6 +693,7 @@ def _concat_channels_backward(rec, grad_out):
     return tuple(grads)
 
 
+@_reusable
 def sum_all(x):
     """Sum every element into a 1 x 1 x 1 x 1 scalar tensor."""
     return _record("sum_all", (x,), x.data.sum(dtype=x.dtype).reshape(1, 1, 1, 1))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import edgeneck as en
+import edgeneck.tensor as tensor_core
 from edgeneck.errors import ContractError
 from edgeneck.gradcheck import EPS, grad_check
 from edgeneck.tensor import BACKWARD
@@ -191,6 +192,73 @@ def test_max_coords_caps_probe_count():
     assert report.entries[0].probed == 5
 
 
+def _count_conv_kernels(monkeypatch):
+    """Count the conv kernels computed from here on; returns the live list of input dims."""
+    calls = []
+    original = tensor_core._conv_forward
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return original(*args)
+
+    monkeypatch.setattr(tensor_core, "_conv_forward", counted)
+    return calls
+
+
+def test_probes_recompute_only_the_convs_their_input_reaches(monkeypatch):
+    """A probe of w2 reuses conv(x, w1) from the base forward; a probe of x or w1 cannot."""
+    r = rng(15)
+    inputs = {"x": r.standard_normal((1, 2, 4, 4)), "w1": r.standard_normal((3, 2, 3, 3)),
+              "w2": r.standard_normal((2, 3, 1, 1))}
+    kernels = _count_conv_kernels(monkeypatch)
+    report = grad_check(lambda x, w1, w2: en.sum_all(en.conv2d(en.conv2d(x, w1), w2)), inputs)
+    assert report.ok
+    assert [(e.probed, e.skipped) for e in report.entries] == [(32, 0), (54, 0), (6, 0)]
+    # the taped forward computes both convs, then each of a probe's two evaluations
+    # computes two for x and w1 and one for w2
+    assert len(kernels) == 2 + 2 * (2 * 32 + 2 * 54 + 1 * 6)
+
+
+def _constant_conv_loss(x, scalar=True):
+    # a conv of two constants, built anew on each call as deep_sobel's kernels are,
+    # beside a conv of the input
+    k = en.Tensor(np.full((1, 1, 3, 3), 0.5))
+    out = en.mul(en.conv2d(x, k), en.conv2d(en.Tensor(np.ones((1, 1, 4, 4))), k))
+    return en.sum_all(out) if scalar else out
+
+
+def test_reuse_ends_with_the_check(monkeypatch):
+    """After a check returns or raises, a taped forward computes every conv, records every op."""
+    x = rng(16).standard_normal((1, 1, 4, 4))
+    kernels = _count_conv_kernels(monkeypatch)
+
+    def assert_plain_forward():
+        assert tensor_core._MEMO is None
+        kernels.clear()
+        with en.Tape() as tape:
+            _constant_conv_loss(en.Tensor(x, requires_grad=True))
+        assert len(kernels) == 2
+        assert [rec.op for rec in tape.records] == ["conv2d", "mul", "sum_all"]
+
+    assert grad_check(_constant_conv_loss, {"x": x}).ok
+    assert_plain_forward()
+    with pytest.raises(ContractError):
+        grad_check(lambda t: _constant_conv_loss(t, scalar=False), {"x": x})
+    assert_plain_forward()
+
+
+def test_reports_are_unchanged_with_reuse_defeated(monkeypatch):
+    """Every op computed anew at every probe gives the same entries, bit for bit."""
+    checks = [c for c in block_checks(1) if c[0] == "block.wide_field"] + pipeline_check(1)
+    kernels = _count_conv_kernels(monkeypatch)
+    reused = [run().entries for _, run in checks]
+    computed = len(kernels)
+    kernels.clear()
+    monkeypatch.setattr(tensor_core, "_reused", lambda key: None)
+    assert [run().entries for _, run in checks] == reused
+    assert len(kernels) > 2 * computed
+
+
 def test_requires_scalar_target():
     with pytest.raises(ContractError):
         grad_check(lambda x: en.mul(x, x), {"x": np.ones((1, 1, 2, 2))})
@@ -233,8 +301,8 @@ def test_sigmoid_backward_off_by_2e_6_is_caught(monkeypatch):
     assert not grad_check(_steep_sigmoid, {"x": x}).ok
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-def test_pipeline_passes_at_seeds_1_to_5(seed):
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_pipeline_passes_at_seeds_1_to_20(seed):
     [(_, run)] = pipeline_check(seed)
     report = run()
     assert report.ok, report.format()
