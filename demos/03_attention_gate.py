@@ -35,7 +35,7 @@ def main():
 
     # With nothing to look at, the bottleneck sees zeros, the sigmoid sits
     # at one half, and a half of zero is still zero.
-    silent = gate(en.zeros((1, 8, 6, 6), np.float64))
+    silent = gate(en.Tensor(np.zeros((1, 8, 6, 6), np.float64)))
     print("zero input -> zero output:", not silent.data.any())
 
 

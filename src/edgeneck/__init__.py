@@ -23,9 +23,9 @@ from .pyramid import TopDownPyramid
 from .receptive_field import BRANCH_WIDTH, WideFieldBlock, receptive_extent
 from .tensor import (
     BACKWARD, ConvSpec, Parameter, Tape, Tensor, add, backward,
-    concat_channels, conv2d, down2_max, edge_magnitude, full,
-    global_avg_pool, global_max_pool, kaiming_uniform, mul, ones, ones_like,
-    relu, replicate_pad, sigmoid, sum_all, up2_nearest, zeros,
+    concat_channels, conv2d, down2_max, edge_magnitude, global_avg_pool,
+    global_max_pool, kaiming_uniform, mul, relu, replicate_pad, sigmoid,
+    sum_all, up2_nearest,
 )
 
 __version__ = "1.0.0"

@@ -12,6 +12,8 @@ globally pooled descriptors through a shared two-layer bottleneck.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
@@ -25,6 +27,14 @@ SOBEL_X = ((1.0, 0.0, -1.0),
            (2.0, 0.0, -2.0),
            (1.0, 0.0, -1.0))
 SOBEL_Y = tuple(zip(*SOBEL_X))
+
+
+@functools.cache
+def _kernels(c, dtype):
+    """The 1/C mean kernel and the Sobel pair: one shared set per channel count and dtype."""
+    return (Tensor(np.full((1, c, 1, 1), 1.0 / c, dtype)),
+            Tensor(np.asarray(SOBEL_X, dtype).reshape(1, 1, 3, 3)),
+            Tensor(np.asarray(SOBEL_Y, dtype).reshape(1, 1, 3, 3)))
 
 
 def deep_sobel(x):
@@ -42,10 +52,8 @@ def deep_sobel(x):
     c = x.dims[1]
     if c < 1:
         raise DomainError("deep_sobel over zero channels")
-    mean = conv2d(x, Tensor(np.full((1, c, 1, 1), 1.0 / c, x.dtype)))
-    padded = replicate_pad(mean)
-    kx = Tensor(np.asarray(SOBEL_X, x.dtype).reshape(1, 1, 3, 3))
-    ky = Tensor(np.asarray(SOBEL_Y, x.dtype).reshape(1, 1, 3, 3))
+    mean, kx, ky = _kernels(c, x.dtype)
+    padded = replicate_pad(conv2d(x, mean))
     return conv2d(padded, kx), conv2d(padded, ky)
 
 

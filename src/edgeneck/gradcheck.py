@@ -11,9 +11,11 @@ different ``branch`` entries (it straddles a relu kink or a pooling
 arg-max flip) is skipped and counted.  An input left with no verified
 probe fails the check: nothing was measured about its gradient.  A probe
 whose analytic or numeric derivative is not finite scores an infinite
-error, so a NaN gradient fails too.  Ops are pure, so a probe evaluation
-reuses each op result of the taped base forward whose arguments it left
-untouched (:func:`~edgeneck.tensor.op_memo`) and computes only what the
+error, so a NaN gradient fails too.  Ops are pure and no block picks its
+op calls by data values, so a probe evaluation, given a fresh tensor for
+the perturbed input, repeats the base forward's calls in order; its k-th
+call reuses the k-th result when the arguments are the same tensors
+(:func:`~edgeneck.tensor.op_memo`), so it computes only what the
 perturbed input reaches.
 """
 
@@ -92,21 +94,22 @@ def _rel_err(analytic, numeric):
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 
-def _central(fn, args, leaf, step):
-    """Central difference of ``fn`` along the unit vector ``step`` (dims of ``leaf``).
+def _central(fn, args, i, step, memo):
+    """Central difference of ``fn`` along the unit vector ``step`` (dims of ``args[i]``).
 
+    Each evaluation gets a fresh tensor in slot ``i`` and rewinds ``memo``.
     Returns ``None`` when the two evaluations take different branches
     (the probe straddles a kink), so the quotient would be meaningless.
     """
-    original = leaf.data
+    probe = list(args)
     values = []
     branches = []
     for sign in (EPS, -EPS):
-        leaf.data = original + sign * step
+        probe[i] = Tensor(args[i].data + sign * step, requires_grad=True)
+        memo.pos = 0
         with Tape() as tape:
-            values.append(fn(*args).item())
+            values.append(fn(*probe).item())
         branches.append([rec.saved["branch"] for rec in tape.records if "branch" in rec.saved])
-    leaf.data = original
     if not all(map(np.array_equal, *branches)):
         return None
     return (values[0] - values[1]) / (2.0 * EPS)
@@ -154,14 +157,13 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     with op_memo() as memo:
         with Tape() as tape:
             out = fn(*args)
-        memo.store = False  # the probes reuse the results of this forward and store none
         if out.dims != (1, 1, 1, 1):
             raise ContractError(f"grad_check target must return a 1x1x1x1 scalar, got {out.dims}")
         if out.requires_grad:  # else no input reaches it: every analytic gradient stays zero
             backward(tape, out)
 
         entries = []
-        for label, leaf in leaves.items():
+        for i, (label, leaf) in enumerate(leaves.items()):
             analytic = np.zeros(leaf.dims) if leaf.grad is None else leaf.grad
             target = max_coords or (1 if directional else leaf.data.size)
             steps = _steps(leaf.dims, rng, max_coords is not None, directional)
@@ -171,7 +173,7 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
             worst_coord = None
             # skipped probes draw replacements, within a bounded budget
             for step, coord in islice(steps, max(6 * target, target + 12)):
-                numeric = _central(fn, args, leaf, step)
+                numeric = _central(fn, args, i, step, memo)
                 if numeric is None:
                     skipped += 1
                     continue

@@ -6,9 +6,9 @@ immutable tensors.  While a :class:`Tape` is active, ops whose result
 depends on a gradient-carrying tensor append a record; :func:`backward`
 replays those records in exact reverse creation order and accumulates
 ``d(root)/d(leaf)`` into the ``grad`` of every leaf it reaches, made on first reach.
-Inside :func:`op_memo`, which one gradient check opens, an op called
-with the arguments of a stored call returns that call's output instead
-of computing it again.
+Inside :func:`op_memo`, which one gradient check opens, a probe's k-th
+op call returns the base forward's k-th output when it has the same op
+and arguments, tensors matched by identity, instead of computing it.
 
 Convolution uses the cross-correlation convention (no kernel flip) and is
 lowered to im2col plus one matrix multiply (GEMM), forward and backward.
@@ -79,22 +79,6 @@ class Tensor:
     def __repr__(self):
         shape = "x".join(str(d) for d in self.dims)
         return f"Tensor({shape}, {self.dtype_name}, requires_grad={self.requires_grad})"
-
-
-def zeros(dims, dtype=np.float32, requires_grad=False):
-    return Tensor(np.zeros(dims, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones(dims, dtype=np.float32, requires_grad=False):
-    return Tensor(np.ones(dims, dtype=dtype), requires_grad=requires_grad)
-
-
-def full(dims, value, dtype=np.float32, requires_grad=False):
-    return Tensor(np.full(dims, value, dtype=dtype), requires_grad=requires_grad)
-
-
-def ones_like(x):
-    return Tensor(np.ones_like(x.data))
 
 
 def kaiming_uniform(rng, dims, dtype=np.float32):
@@ -198,16 +182,15 @@ def _record(op, inputs, data, **saved):
 _MEMO = None  # the _Memo of the gradient check running now, if any
 
 
-class _Memo(dict):
-    """Op results of a gradient check's taped base forward, for its probes to reuse.
+class _Memo(list):
+    """A gradient check's base-forward op calls, ``((op, args, kwargs), output, record)``.
 
-    While ``store`` is set, every op stores its output and tape record
-    under its key; after, an op whose key is stored returns that output
-    and appends that record to the active tape, and any other op computes
-    as usual and stores nothing.
+    They are stored while ``pos`` is None.  A probe evaluation rewinds
+    ``pos`` to 0; its k-th call reuses entry k when the triples are equal
+    (a tensor equals only itself) and computes anew otherwise.
     """
 
-    store = True
+    pos = None
 
 
 @contextmanager
@@ -223,53 +206,27 @@ def op_memo():
         memo.clear()
 
 
-def _memo_key(value, held):
-    """One argument's part of an op key; arrays keyed by identity are appended to ``held``.
-
-    A gradient-carrying tensor is keyed by its data array, which is never
-    written (a probe swaps in a new one) and is kept alive by ``held``, so
-    the identity names the values; any other tensor, such as a kernel
-    built anew on each call, by its dims, dtype and bytes.
-    """
-    if isinstance(value, Tensor):
-        if value.requires_grad:
-            held.append(value.data)
-            return id(value.data)
-        return value.dims, value.data.dtype.str, value.data.tobytes()
-    if isinstance(value, (list, tuple)):
-        return tuple(_memo_key(v, held) for v in value)
-    return value
-
-
-def _reused(key):
-    """The stored output for ``key``, its record appended to the active tape; None if absent."""
-    entry = _MEMO.get(key)
-    if entry is None:
-        return None
-    out, rec, _ = entry
-    if rec is not None and _TAPE_STACK:
-        _TAPE_STACK[-1].records.append(rec)
-    return out
-
-
 def _reusable(op):
-    """``op``, storing or reusing its results while an :func:`op_memo` is active."""
-    name = op.__name__
-
+    """``op``, storing or reusing its calls while an :func:`op_memo` is active."""
     @functools.wraps(op)
     def call(*args, **kwargs):
-        if _MEMO is None:
+        memo = _MEMO
+        if memo is None:
             return op(*args, **kwargs)
-        held = []
-        key = name, _memo_key(args, held), _memo_key(tuple(kwargs.items()), held)
-        if not _MEMO.store:
-            out = _reused(key)
-            return op(*args, **kwargs) if out is None else out
-        out = op(*args, **kwargs)
-        records = _TAPE_STACK[-1].records if _TAPE_STACK else ()
-        rec = records[-1] if records and records[-1].output is out else None
-        _MEMO[key] = out, rec, held
-        return out
+        k = memo.pos
+        if k is None:
+            out = op(*args, **kwargs)
+            records = _TAPE_STACK[-1].records if _TAPE_STACK else ()
+            rec = records[-1] if records and records[-1].output is out else None
+            memo.append(((op, args, kwargs), out, rec))
+            return out
+        memo.pos = k + 1
+        if k < len(memo) and memo[k][0] == (op, args, kwargs):
+            _, out, rec = memo[k]
+            if rec is not None and _TAPE_STACK:
+                _TAPE_STACK[-1].records.append(rec)
+            return out
+        return op(*args, **kwargs)
     return call
 
 

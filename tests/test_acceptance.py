@@ -82,7 +82,7 @@ def test_attention_bound(criterion):
             out = gate(en.Tensor(x)).data
             assert np.all(np.abs(out) <= np.abs(x))
             assert np.all((out == 0) | (np.sign(out) == np.sign(x)))
-        zero_out = gate(en.zeros((2, 8, 3, 3), np.float64)).data
+        zero_out = gate(en.Tensor(np.zeros((2, 8, 3, 3), np.float64))).data
         assert not zero_out.any()
 
 
@@ -135,7 +135,7 @@ def test_impulse_structure(criterion):
 
         noise = en.Tensor(np.random.default_rng(29).standard_normal((1, 2, 9, 9)))
         assert np.all(block(noise).data >= 0)
-        assert not block(en.zeros((1, 2, 8, 8), np.float64)).data.any()
+        assert not block(en.Tensor(np.zeros((1, 2, 8, 8), np.float64))).data.any()
 
 
 def test_topdown_contract(criterion):

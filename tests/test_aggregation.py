@@ -56,7 +56,7 @@ class TestAggregateFull:
 
     def test_zero_in_zero_out(self):
         feats = en.PyramidSet([
-            en.PyramidLevel(s, en.zeros((1, c, 64 >> i, 64 >> i)))
+            en.PyramidLevel(s, en.Tensor(np.zeros((1, c, 64 >> i, 64 >> i), np.float32)))
             for i, (s, c) in enumerate(zip(STRIDES, (4, 8, 8, 16, 16)))
         ])
         for lv in en.aggregate(feats):

@@ -48,7 +48,7 @@ class TestBehavior:
             assert np.array_equal(x.tensor.data, y.tensor.data)
 
     def test_zero_image_zero_features(self):
-        feats = make_backbone()(en.zeros((1, 3, 64, 64), np.float64))
+        feats = make_backbone()(en.Tensor(np.zeros((1, 3, 64, 64), np.float64)))
         for lv in feats:
             assert not lv.tensor.data.any()
 
@@ -68,4 +68,4 @@ class TestValidation:
     def test_wrong_channel_count(self):
         bb = make_backbone()
         with pytest.raises(ContractError):
-            bb(en.zeros((1, 4, 64, 64), np.float64))
+            bb(en.Tensor(np.zeros((1, 4, 64, 64), np.float64)))

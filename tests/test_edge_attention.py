@@ -27,7 +27,7 @@ class TestSobelKernels:
 
 class TestDeepSobel:
     def test_constant_input_gives_zero(self):
-        x = en.full((1, 3, 5, 5), 4.25, np.float64)
+        x = en.Tensor(np.full((1, 3, 5, 5), 4.25, np.float64))
         gx, gy = en.deep_sobel(x)
         assert not gx.data.any() and not gy.data.any()
 
@@ -70,17 +70,18 @@ class TestDeepSobel:
 
     def test_empty_spatial_rejected(self):
         with pytest.raises(DomainError):
-            en.deep_sobel(en.zeros((1, 2, 0, 4)))
+            en.deep_sobel(en.Tensor(np.zeros((1, 2, 0, 4), np.float32)))
 
 
 class TestEdgeMagnitude:
     def test_three_four_five(self):
-        m = en.edge_magnitude(en.full((1, 1, 2, 2), 3.0), en.full((1, 1, 2, 2), 4.0))
+        m = en.edge_magnitude(en.Tensor(np.full((1, 1, 2, 2), 3.0, np.float32)),
+                              en.Tensor(np.full((1, 1, 2, 2), 4.0, np.float32)))
         assert np.all(m.data == 5.0)
 
     def test_zero_has_zero_gradient(self):
-        gx = en.zeros((1, 1, 2, 2), np.float64, requires_grad=True)
-        gy = en.zeros((1, 1, 2, 2), np.float64, requires_grad=True)
+        gx = en.Tensor(np.zeros((1, 1, 2, 2), np.float64), requires_grad=True)
+        gy = en.Tensor(np.zeros((1, 1, 2, 2), np.float64), requires_grad=True)
         with en.Tape() as tape:
             loss = en.sum_all(en.edge_magnitude(gx, gy))
         en.backward(tape, loss)
@@ -94,31 +95,36 @@ class TestEdgeMagnitude:
 
     def test_dims_must_match(self):
         with pytest.raises(ContractError):
-            en.edge_magnitude(en.zeros((1, 1, 2, 2)), en.zeros((1, 1, 2, 3)))
+            en.edge_magnitude(en.Tensor(np.zeros((1, 1, 2, 2), np.float32)),
+                              en.Tensor(np.zeros((1, 1, 2, 3), np.float32)))
 
     def test_mixed_dtypes_rejected(self):
         with pytest.raises(ContractError):
-            en.edge_magnitude(en.zeros((1, 1, 2, 2), np.float32), en.zeros((1, 1, 2, 2), np.float64))
+            en.edge_magnitude(en.Tensor(np.zeros((1, 1, 2, 2), np.float32)),
+                              en.Tensor(np.zeros((1, 1, 2, 2), np.float64)))
 
 
 class TestEdgeGuide:
     def test_ones_is_identity(self):
         f = en.Tensor(rng(7).standard_normal((1, 3, 4, 4)))
-        assert np.array_equal(en.edge_guide(f, en.ones((1, 1, 4, 4), np.float64)).data, f.data)
+        ones = en.Tensor(np.ones((1, 1, 4, 4), np.float64))
+        assert np.array_equal(en.edge_guide(f, ones).data, f.data)
 
     def test_zeros_zeroes(self):
         f = en.Tensor(rng(8).standard_normal((1, 3, 4, 4)))
-        assert not en.edge_guide(f, en.zeros((1, 1, 4, 4), np.float64)).data.any()
+        assert not en.edge_guide(f, en.Tensor(np.zeros((1, 1, 4, 4), np.float64))).data.any()
 
     def test_constant_feature_guides_to_zero(self):
-        f = en.full((1, 3, 6, 6), 2.0)
+        f = en.Tensor(np.full((1, 3, 6, 6), 2.0, np.float32))
         assert not en.edge_guide(f, edge_map(f)).data.any()
 
     def test_spatial_mismatch(self):
         with pytest.raises(ContractError):
-            en.edge_guide(en.zeros((1, 3, 4, 4)), en.zeros((1, 1, 2, 2)))
+            en.edge_guide(en.Tensor(np.zeros((1, 3, 4, 4), np.float32)),
+                          en.Tensor(np.zeros((1, 1, 2, 2), np.float32)))
         with pytest.raises(ContractError):
-            en.edge_guide(en.zeros((1, 3, 4, 4)), en.zeros((1, 3, 4, 4)))
+            en.edge_guide(en.Tensor(np.zeros((1, 3, 4, 4), np.float32)),
+                          en.Tensor(np.zeros((1, 3, 4, 4), np.float32)))
 
 
 class TestChannelAttention:
@@ -127,7 +133,7 @@ class TestChannelAttention:
 
     def test_zero_input_zero_output_exact(self):
         gate = self.make()
-        x = en.zeros((2, 8, 4, 4), np.float64)
+        x = en.Tensor(np.zeros((2, 8, 4, 4), np.float64))
         assert np.all(gate.scale(x).data == 0.5)
         assert not gate(x).data.any()
 
@@ -156,7 +162,7 @@ class TestChannelAttention:
 
     def test_channel_mismatch(self):
         with pytest.raises(ContractError):
-            self.make()(en.zeros((1, 4, 4, 4), np.float64))
+            self.make()(en.Tensor(np.zeros((1, 4, 4, 4), np.float64)))
 
     def test_reduction_must_divide(self):
         with pytest.raises(ConfigError):
@@ -166,8 +172,8 @@ class TestChannelAttention:
 class TestEdgeGuidedAttention:
     def test_shapes_and_zero(self):
         block = en.EdgeGuidedAttention("t.edge", rng(13), channels2=32, reduction=16)
-        f1 = en.zeros((1, 16, 64, 64))
-        f2 = en.zeros((1, 32, 32, 32))
+        f1 = en.Tensor(np.zeros((1, 16, 64, 64), np.float32))
+        f2 = en.Tensor(np.zeros((1, 32, 32, 32), np.float32))
         f1t, f2t = block(f1, f2)
         assert f1t.dims == (1, 16, 64, 64)
         assert f2t.dims == (1, 32, 32, 32)
@@ -176,7 +182,7 @@ class TestEdgeGuidedAttention:
     def test_constant_first_feature_guides_to_zero(self):
         block = en.EdgeGuidedAttention("t.edge", rng(14), channels2=4, reduction=2,
                                        dtype=np.float64)
-        f1 = en.full((1, 2, 8, 8), 3.0, np.float64)
+        f1 = en.Tensor(np.full((1, 2, 8, 8), 3.0, np.float64))
         f2 = en.Tensor(rng(15).standard_normal((1, 4, 4, 4)))
         f1t, _ = block(f1, f2)
         assert not f1t.data.any()

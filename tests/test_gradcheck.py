@@ -96,7 +96,7 @@ def test_unused_input_has_zero_gradient():
 
 def test_constant_target_reports_zero_gradients():
     # no input reaches the target, so no tape record produced it: nothing to differentiate
-    report = grad_check(lambda x, y: en.sum_all(en.ones((1, 1, 2, 2), np.float64)),
+    report = grad_check(lambda x, y: en.sum_all(en.Tensor(np.ones((1, 1, 2, 2), np.float64))),
                         {"x": np.ones((1, 1, 2, 2)), "y": np.ones((1, 2, 1, 3))})
     assert report.ok
     assert [(e.label, e.probed, e.skipped, e.max_rel_err) for e in report.entries] == [
@@ -205,13 +205,20 @@ def _count_conv_kernels(monkeypatch):
     return calls
 
 
+def _two_convs(x, w1, w2):
+    return en.sum_all(en.conv2d(en.conv2d(x, w1), w2))
+
+
+def _two_conv_inputs():
+    r = rng(15)
+    return {"x": r.standard_normal((1, 2, 4, 4)), "w1": r.standard_normal((3, 2, 3, 3)),
+            "w2": r.standard_normal((2, 3, 1, 1))}
+
+
 def test_probes_recompute_only_the_convs_their_input_reaches(monkeypatch):
     """A probe of w2 reuses conv(x, w1) from the base forward; a probe of x or w1 cannot."""
-    r = rng(15)
-    inputs = {"x": r.standard_normal((1, 2, 4, 4)), "w1": r.standard_normal((3, 2, 3, 3)),
-              "w2": r.standard_normal((2, 3, 1, 1))}
     kernels = _count_conv_kernels(monkeypatch)
-    report = grad_check(lambda x, w1, w2: en.sum_all(en.conv2d(en.conv2d(x, w1), w2)), inputs)
+    report = grad_check(_two_convs, _two_conv_inputs())
     assert report.ok
     assert [(e.probed, e.skipped) for e in report.entries] == [(32, 0), (54, 0), (6, 0)]
     # the taped forward computes both convs, then each of a probe's two evaluations
@@ -220,8 +227,8 @@ def test_probes_recompute_only_the_convs_their_input_reaches(monkeypatch):
 
 
 def _constant_conv_loss(x, scalar=True):
-    # a conv of two constants, built anew on each call as deep_sobel's kernels are,
-    # beside a conv of the input
+    # a conv of two constants, built anew on each call so a probe matches neither
+    # by identity, beside a conv of the input
     k = en.Tensor(np.full((1, 1, 3, 3), 0.5))
     out = en.mul(en.conv2d(x, k), en.conv2d(en.Tensor(np.ones((1, 1, 4, 4))), k))
     return en.sum_all(out) if scalar else out
@@ -254,9 +261,34 @@ def test_reports_are_unchanged_with_reuse_defeated(monkeypatch):
     reused = [run().entries for _, run in checks]
     computed = len(kernels)
     kernels.clear()
-    monkeypatch.setattr(tensor_core, "_reused", lambda key: None)
+    monkeypatch.setattr(tensor_core._Memo, "append", lambda memo, call: None)  # store nothing
     assert [run().entries for _, run in checks] == reused
     assert len(kernels) > 2 * computed
+
+
+@pytest.mark.parametrize("label, count", [("block.edge_attention", 426), ("pipeline.full", 2244)])
+def test_constant_kernels_are_reused(monkeypatch, label, count):
+    """deep_sobel's kernels are built once, so probes match them and reuse their convs."""
+    [run] = [run for name, run in block_checks(1) + pipeline_check(1) if name == label]
+    kernels = _count_conv_kernels(monkeypatch)
+    run()
+    assert len(kernels) == count
+
+
+def test_a_misaligned_call_recomputes(monkeypatch):
+    """Calls shifted by one position from the base forward's match nothing and compute anew."""
+    evaluations = []
+
+    def shifted(x, w1, w2):
+        if evaluations:  # every evaluation after the base forward makes one extra call first
+            en.sum_all(x)
+        evaluations.append(None)
+        return _two_convs(x, w1, w2)
+
+    aligned = grad_check(_two_convs, _two_conv_inputs()).entries
+    kernels = _count_conv_kernels(monkeypatch)
+    assert grad_check(shifted, _two_conv_inputs()).entries == aligned
+    assert len(kernels) == 2 * len(evaluations) == 2 * (1 + 2 * (32 + 54 + 6))
 
 
 def test_requires_scalar_target():
@@ -282,7 +314,7 @@ def test_runs_in_float64_regardless_of_input_dtype():
 
 def _steep_sigmoid(x):
     # sigmoid(20 x) near 0: a step of 1e-3 misses by up to 3.6e-5, and EPS by about 3.6e-9
-    return en.sum_all(en.sigmoid(en.mul(x, en.full((1, 1, 1, 1), 20.0, np.float64))))
+    return en.sum_all(en.sigmoid(en.mul(x, en.Tensor(np.full((1, 1, 1, 1), 20.0, np.float64)))))
 
 
 def test_curved_probe_is_re_estimated():

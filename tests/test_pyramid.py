@@ -38,7 +38,7 @@ class TestShapes:
     def test_zero_inputs_zero_outputs(self):
         pyr = make_pyramid()
         zeros = en.PyramidSet([
-            en.PyramidLevel(8 << i, en.zeros((1, c, 32 >> i, 32 >> i), np.float64))
+            en.PyramidLevel(8 << i, en.Tensor(np.zeros((1, c, 32 >> i, 32 >> i), np.float64)))
             for i, c in enumerate((6, 10, 14, 18))
         ])
         for lv in pyr(zeros):
@@ -86,7 +86,7 @@ class TestDependencyDirection:
 
 def _level(stride, n=1, hw=None):
     hw = 32 // stride if hw is None else hw
-    return en.PyramidLevel(stride, en.zeros((n, 2, hw, hw)))
+    return en.PyramidLevel(stride, en.Tensor(np.zeros((n, 2, hw, hw), np.float32)))
 
 
 @pytest.mark.parametrize("build, error, fragment", [

@@ -75,7 +75,7 @@ class TestBlockBehavior:
 
     def test_zero_input_zero_output(self):
         block = make_block()
-        out = block(en.zeros((1, 2, 6, 6), np.float64))
+        out = block(en.Tensor(np.zeros((1, 2, 6, 6), np.float64)))
         assert not out.data.any()
 
     def test_output_non_negative(self):

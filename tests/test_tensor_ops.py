@@ -49,12 +49,12 @@ class TestTensorType:
             en.Tensor(np.zeros((1, 1, 2, 2), np.dtype(np.float32).newbyteorder()))
 
     def test_zero_dim_is_valid_and_empty(self):
-        t = en.zeros((1, 0, 4, 4))
+        t = en.Tensor(np.zeros((1, 0, 4, 4), np.float32))
         assert t.dims == (1, 0, 4, 4)
         assert t.data.size == 0
 
     def test_grad_buffer_allocated_by_backward(self):
-        t = en.zeros((2, 3, 4, 5), requires_grad=True)
+        t = en.Tensor(np.zeros((2, 3, 4, 5), np.float32), requires_grad=True)
         assert t.grad is None
         with en.Tape() as tape:
             loss = en.sum_all(t)
@@ -62,9 +62,9 @@ class TestTensorType:
         assert t.grad.shape == t.dims
 
     def test_item_requires_single_element(self):
-        assert en.full((1, 1, 1, 1), 2.5).item() == 2.5
+        assert en.Tensor(np.full((1, 1, 1, 1), 2.5, np.float32)).item() == 2.5
         with pytest.raises(ContractError):
-            en.ones((1, 2, 1, 1)).item()
+            en.Tensor(np.ones((1, 2, 1, 1), np.float32)).item()
 
 
 class TestConvSpec:
@@ -100,7 +100,7 @@ CONV_CASES = [
 
 class TestConv2d:
     def test_zero_sum_kernel_on_constant_field(self):
-        x = en.ones((1, 1, 3, 3), np.float64)
+        x = en.Tensor(np.ones((1, 1, 3, 3), np.float64))
         w = en.Tensor(np.asarray(en.SOBEL_X, np.float64).reshape(1, 1, 3, 3))
         y = en.conv2d(x, w, spec=en.ConvSpec(padding=(1, 1)))
         assert y.data[0, 0, 1, 1] == 0.0
@@ -158,17 +158,19 @@ class TestConv2d:
         assert report.ok, report.format()
 
     def test_zero_output_dim_yields_empty(self):
-        y = en.conv2d(en.ones((1, 1, 3, 4)), en.ones((2, 1, 4, 4)))
+        y = en.conv2d(en.Tensor(np.ones((1, 1, 3, 4), np.float32)),
+                      en.Tensor(np.ones((2, 1, 4, 4), np.float32)))
         assert y.dims == (1, 2, 0, 1)
 
     def test_channel_group_mismatches(self):
-        x = en.zeros((1, 3, 4, 4))
+        x = en.Tensor(np.zeros((1, 3, 4, 4), np.float32))
         with pytest.raises(ContractError):
-            en.conv2d(x, en.zeros((2, 2, 3, 3)))
+            en.conv2d(x, en.Tensor(np.zeros((2, 2, 3, 3), np.float32)))
         with pytest.raises(ContractError):
-            en.conv2d(x, en.zeros((2, 4, 3, 3)))
+            en.conv2d(x, en.Tensor(np.zeros((2, 4, 3, 3), np.float32)))
         with pytest.raises(ContractError):
-            en.conv2d(x, en.zeros((2, 3, 3, 3)), bias=en.zeros((1, 3, 1, 1)))
+            en.conv2d(x, en.Tensor(np.zeros((2, 3, 3, 3), np.float32)),
+                      bias=en.Tensor(np.zeros((1, 3, 1, 1), np.float32)))
 
     def test_linearity(self):
         for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-12)):
@@ -187,10 +189,10 @@ class TestConv2d:
 class TestElementwise:
     def test_mul_with_ones_is_identity(self):
         x = en.Tensor(rng().standard_normal((1, 3, 4, 4)))
-        assert np.array_equal(en.mul(x, en.ones_like(x)).data, x.data)
+        assert np.array_equal(en.mul(x, en.Tensor(np.ones_like(x.data))).data, x.data)
 
     def test_sigmoid_of_zero(self):
-        assert np.all(en.sigmoid(en.zeros((1, 2, 2, 2))).data == 0.5)
+        assert np.all(en.sigmoid(en.Tensor(np.zeros((1, 2, 2, 2), np.float32))).data == 0.5)
 
     def test_sigmoid_saturation_is_finite(self):
         y = en.sigmoid(en.Tensor(np.asarray([[[[-500.0, 500.0]]]], np.float64))).data
@@ -199,18 +201,20 @@ class TestElementwise:
         assert y[0, 0, 0, 1] == 1.0
 
     def test_three_four_five(self):
-        gx = en.full((1, 1, 1, 1), 3.0)
-        gy = en.full((1, 1, 1, 1), 4.0)
+        gx = en.Tensor(np.full((1, 1, 1, 1), 3.0, np.float32))
+        gy = en.Tensor(np.full((1, 1, 1, 1), 4.0, np.float32))
         assert en.add(en.mul(gx, gx), en.mul(gy, gy)).item() == 25.0
         assert en.edge_magnitude(gx, gy).item() == 5.0
 
     def test_incompatible_broadcast(self):
         with pytest.raises(ContractError):
-            en.add(en.zeros((1, 2, 4, 4)), en.zeros((1, 3, 4, 4)))
+            en.add(en.Tensor(np.zeros((1, 2, 4, 4), np.float32)),
+                   en.Tensor(np.zeros((1, 3, 4, 4), np.float32)))
 
     def test_mixed_dtypes_rejected(self):
         with pytest.raises(ContractError):
-            en.add(en.zeros((1, 1, 2, 2), np.float32), en.zeros((1, 1, 2, 2), np.float64))
+            en.add(en.Tensor(np.zeros((1, 1, 2, 2), np.float32)),
+                   en.Tensor(np.zeros((1, 1, 2, 2), np.float64)))
 
 
 class TestPoolAndResample:
@@ -220,7 +224,7 @@ class TestPoolAndResample:
         assert en.global_max_pool(x).item() == 4.0
 
     def test_avg_equals_max_on_constant(self):
-        x = en.full((2, 3, 4, 4), 1.5)
+        x = en.Tensor(np.full((2, 3, 4, 4), 1.5, np.float32))
         assert np.array_equal(en.global_avg_pool(x).data, en.global_max_pool(x).data)
 
     def test_avg_never_exceeds_max(self):
@@ -229,7 +233,7 @@ class TestPoolAndResample:
 
     def test_empty_spatial_is_domain_error(self):
         with pytest.raises(DomainError):
-            en.global_avg_pool(en.zeros((1, 2, 0, 3)))
+            en.global_avg_pool(en.Tensor(np.zeros((1, 2, 0, 3), np.float32)))
 
     @pytest.mark.parametrize("dims", [(2, 3, 4, 5), (1, 2, 1, 5), (2, 1, 4, 1), (1, 1, 1, 1)])
     def test_replicate_pad_is_an_exact_copy(self, dims):
@@ -252,7 +256,7 @@ class TestPoolAndResample:
         x = en.Tensor(np.asarray([[[[1, 2], [3, 4]]]], np.float64))
         want = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
         assert np.array_equal(en.up2_nearest(x).data[0, 0], want)
-        single = en.full((1, 1, 1, 1), 7.0)
+        single = en.Tensor(np.full((1, 1, 1, 1), 7.0, np.float32))
         assert np.all(en.up2_nearest(single).data == 7.0)
 
     def test_down2_of_up2_round_trips(self):
@@ -262,13 +266,13 @@ class TestPoolAndResample:
 
     def test_down2_odd_dims_is_shape_error(self):
         with pytest.raises(ShapeError):
-            en.down2_max(en.zeros((1, 1, 3, 4)))
+            en.down2_max(en.Tensor(np.zeros((1, 1, 3, 4), np.float32)))
 
 
 class TestConcatSliceLinear:
     def test_concat_channel_count(self):
-        a = en.zeros((1, 64, 32, 32))
-        b = en.zeros((1, 128, 32, 32))
+        a = en.Tensor(np.zeros((1, 64, 32, 32), np.float32))
+        b = en.Tensor(np.zeros((1, 128, 32, 32), np.float32))
         assert en.concat_channels([a, b]).dims == (1, 192, 32, 32)
 
     def test_concat_single_is_identity(self):
@@ -286,7 +290,8 @@ class TestConcatSliceLinear:
 
     def test_concat_spatial_mismatch(self):
         with pytest.raises(ContractError):
-            en.concat_channels([en.zeros((1, 2, 4, 4)), en.zeros((1, 2, 3, 4))])
+            en.concat_channels([en.Tensor(np.zeros((1, 2, 4, 4), np.float32)),
+                                en.Tensor(np.zeros((1, 2, 3, 4), np.float32))])
 
     def test_linear_identity_and_zero(self):
         # a 1x1 conv on N x C x 1 x 1 descriptors is the per-sample linear map
@@ -294,7 +299,7 @@ class TestConcatSliceLinear:
         eye = en.Tensor(np.eye(3).reshape(3, 3, 1, 1))
         assert np.array_equal(en.conv2d(x, eye).data, x.data)
         bias = en.Tensor(rng(4).standard_normal((1, 3, 1, 1)))
-        out = en.conv2d(en.zeros((2, 3, 1, 1), np.float64), eye, bias)
+        out = en.conv2d(en.Tensor(np.zeros((2, 3, 1, 1), np.float64)), eye, bias)
         assert np.array_equal(out.data, np.broadcast_to(bias.data, (2, 3, 1, 1)))
 
     def test_linear_matches_dot_oracle(self):
