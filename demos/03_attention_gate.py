@@ -14,8 +14,7 @@ from edgeneck.edge_attention import ChannelAttention
 
 def main():
     rng = np.random.default_rng(3)
-    gate = ChannelAttention("demo.gate", rng, channels=8, reduction=4,
-                            dtype=np.float64)
+    gate = ChannelAttention("demo.gate", en.Params(rng, np.float64), channels=8, reduction=4)
 
     x = en.Tensor(rng.standard_normal((1, 8, 6, 6)))
     out = gate(x)

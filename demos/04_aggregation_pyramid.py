@@ -18,7 +18,8 @@ def show(tag, levels):
 
 
 def main():
-    backbone = en.Backbone("demo.bb", np.random.default_rng(11), (4, 8, 8, 16, 16))
+    backbone = en.Backbone("demo.bb", en.Params(np.random.default_rng(11), np.float32),
+                           (4, 8, 8, 16, 16))
     image = en.noise_image(11, 128, 128)
     feats = backbone(image)
     show("backbone", feats)
@@ -33,7 +34,7 @@ def main():
     print("planned channels:", en.plan_channels(plan, feats.channels))
 
     agg = en.aggregate(feats, "full")
-    pyramid = en.TopDownPyramid("demo.pyr", np.random.default_rng(13),
+    pyramid = en.TopDownPyramid("demo.pyr", en.Params(np.random.default_rng(13), np.float32),
                                 [(lv.stride, lv.channels) for lv in agg],
                                 width=8)
     fused = pyramid(agg)

@@ -27,8 +27,8 @@ def sketch(response, center, radius=22):
 
 
 def main():
-    block = en.WideFieldBlock("demo.wide", np.random.default_rng(7),
-                              c_in=2, c_out=4, dtype=np.float64)
+    block = en.WideFieldBlock("demo.wide", en.Params(np.random.default_rng(7), np.float64),
+                              c_in=2, c_out=4)
 
     center = 23
     data = np.zeros((1, 2, 47, 47))

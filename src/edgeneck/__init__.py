@@ -16,7 +16,7 @@ from .errors import (
     ShapeError, UsageError,
 )
 from .gradcheck import GradCheckReport, grad_check
-from .layers import Conv2d
+from .layers import Conv2d, Params
 from .levels import PyramidLevel, PyramidSet
 from .network import ForwardResult, Network, noise_image
 from .pyramid import TopDownPyramid
@@ -24,8 +24,8 @@ from .receptive_field import BRANCH_WIDTH, WideFieldBlock, receptive_extent
 from .tensor import (
     BACKWARD, ConvSpec, Parameter, Tape, Tensor, add, backward,
     concat_channels, conv2d, down2_max, edge_magnitude, global_avg_pool,
-    global_max_pool, kaiming_uniform, mul, relu, replicate_pad, sigmoid,
-    sum_all, up2_nearest,
+    global_max_pool, mul, relu, replicate_pad, sigmoid, sum_all,
+    up2_nearest,
 )
 
 __version__ = "1.0.0"

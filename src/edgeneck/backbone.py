@@ -9,8 +9,6 @@ channel interface, not pretrained semantics.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ContractError, ShapeError
 from .layers import Conv2d
 from .levels import PyramidLevel, PyramidSet
@@ -21,7 +19,7 @@ IN_CHANNELS = 3  # the image: RGB, or a grey image replicated three times
 
 
 class Backbone:
-    def __init__(self, name, rng, channels=(16, 32, 64, 128, 256), dtype=np.float32):
+    def __init__(self, name, params, channels=(16, 32, 64, 128, 256)):
         if len(channels) != 5:
             raise ContractError(f"channel plan needs 5 entries, got {channels}")
         if min(channels) < 1:
@@ -29,19 +27,13 @@ class Backbone:
         c1, c2, c3, c4, c5 = channels
         half = ConvSpec(stride=(2, 2), padding=(1, 1))
         self.convs = [
-            Conv2d(name + ".stem1", rng, IN_CHANNELS, c1, (3, 3), half, dtype=dtype),
-            Conv2d(name + ".stem2", rng, c1, c1, (3, 3), half, dtype=dtype),
-            Conv2d(name + ".stage2", rng, c1, c2, (3, 3), half, dtype=dtype),
-            Conv2d(name + ".stage3", rng, c2, c3, (3, 3), half, dtype=dtype),
-            Conv2d(name + ".stage4", rng, c3, c4, (3, 3), half, dtype=dtype),
-            Conv2d(name + ".stage5", rng, c4, c5, (3, 3), half, dtype=dtype),
+            Conv2d(name + ".stem1", params, IN_CHANNELS, c1, (3, 3), half),
+            Conv2d(name + ".stem2", params, c1, c1, (3, 3), half),
+            Conv2d(name + ".stage2", params, c1, c2, (3, 3), half),
+            Conv2d(name + ".stage3", params, c2, c3, (3, 3), half),
+            Conv2d(name + ".stage4", params, c3, c4, (3, 3), half),
+            Conv2d(name + ".stage5", params, c4, c5, (3, 3), half),
         ]
-
-    def parameters(self):
-        params = []
-        for conv in self.convs:
-            params.extend(conv.parameters())
-        return params
 
     def __call__(self, image):
         n, c, h, w = image.dims

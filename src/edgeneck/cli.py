@@ -30,10 +30,9 @@ from .report import build_report
 from .tensor import Tensor
 from .verify import SCOPES, checks_for_scope, run_checks
 from .weights import (
-    load_into_parameters, read_container, split_entries, write_container,
+    CHECK_PREFIX, load_into_parameters, read_container, split_entries,
+    write_container,
 )
-
-CHECK_PREFIX = "check."
 
 
 def _build_parser():

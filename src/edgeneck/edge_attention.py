@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DomainError
 from .tensor import (
-    Parameter, Tensor, add, conv2d, edge_magnitude, global_avg_pool,
-    global_max_pool, kaiming_uniform, mul, relu, replicate_pad, sigmoid,
+    Tensor, add, conv2d, edge_magnitude, global_avg_pool, global_max_pool,
+    mul, relu, replicate_pad, sigmoid,
 )
 
 # Horizontal-derivative kernel; the vertical one is its transpose.
@@ -81,7 +81,7 @@ class ChannelAttention:
     exactly.
     """
 
-    def __init__(self, name, rng, channels, reduction=16, dtype=np.float32):
+    def __init__(self, name, params, channels, reduction=16):
         if reduction < 1:
             raise ConfigError(f"reduction_ratio must be >= 1, got {reduction}")
         if channels % reduction != 0:
@@ -91,11 +91,8 @@ class ChannelAttention:
         hidden = channels // reduction
         self.name = name
         self.channels = channels
-        self.w0 = Parameter(name + ".w0", kaiming_uniform(rng, (hidden, channels, 1, 1), dtype))
-        self.w1 = Parameter(name + ".w1", kaiming_uniform(rng, (channels, hidden, 1, 1), dtype))
-
-    def parameters(self):
-        return [self.w0, self.w1]
+        self.w0 = params.kaiming(name + ".w0", (hidden, channels, 1, 1))
+        self.w1 = params.kaiming(name + ".w1", (channels, hidden, 1, 1))
 
     def _squeeze(self, pooled):
         return conv2d(relu(conv2d(pooled, self.w0.value)), self.w1.value)
@@ -122,11 +119,8 @@ class EdgeGuidedAttention:
     count.  Each feature uses an edge map computed from itself.
     """
 
-    def __init__(self, name, rng, channels2, reduction=16, dtype=np.float32):
-        self.gate = ChannelAttention(name + ".gate", rng, channels2, reduction, dtype)
-
-    def parameters(self):
-        return self.gate.parameters()
+    def __init__(self, name, params, channels2, reduction=16):
+        self.gate = ChannelAttention(name + ".gate", params, channels2, reduction)
 
     def __call__(self, f1, f2):
         f1_guided = edge_guide(f1, edge_map(f1))

@@ -1,10 +1,12 @@
 """End-to-end wiring of backbone, edge attention, aggregation, wide-field
 blocks and the top-down pyramid.
 
-Construction is fully deterministic: all parameters are drawn from one
-seeded stream in a fixed order, so the same seed always yields the same
-model.  The forward pass returns every intermediate under a stable name
-(``feat.s4`` .. ``out.s64``) for reports, dumps and tests.
+Construction is fully deterministic: every block creates its parameters
+in one ``Params`` store on one seeded stream, so the same seed always
+yields the same model, and creation order is the order of the draws, of
+``parameters()`` and of a weights dump.  The forward pass returns every
+intermediate under a stable name (``feat.s4`` .. ``out.s64``) for
+reports, dumps and tests.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .aggregation import aggregate, aggregation_plan, plan_channels
 from .backbone import IN_CHANNELS, Backbone
 from .edge_attention import EdgeGuidedAttention
 from .errors import ContractError, DomainError
+from .layers import Params
 from .levels import PyramidLevel, PyramidSet
 from .pyramid import TopDownPyramid
 from .receptive_field import WideFieldBlock
@@ -52,11 +55,11 @@ class Network:
 
     def __init__(self, seed=0, channels=(16, 32, 64, 128, 256), pyramid_width=256,
                  fa_mode="full", reduction=16, dtype=np.float32):
-        rng = params_rng(seed)
+        self.params = Params(params_rng(seed), dtype)
         self.fa_mode = fa_mode
-        self.dtype = np.dtype(dtype)
-        self.backbone = Backbone("backbone", rng, channels, dtype)
-        self.edge = EdgeGuidedAttention("edge", rng, channels[1], reduction, dtype)
+        self.dtype = self.params.dtype
+        self.backbone = Backbone("backbone", self.params, channels)
+        self.edge = EdgeGuidedAttention("edge", self.params, channels[1], reduction)
 
         plan = aggregation_plan(fa_mode)
         fused_channels = plan_channels(plan, channels)
@@ -67,32 +70,18 @@ class Network:
                 level_channels.append((stride, c_fused))
             else:
                 self.wide[stride] = WideFieldBlock(
-                    f"wide.s{stride}", rng, c_fused, pyramid_width, dtype)
+                    f"wide.s{stride}", self.params, c_fused, pyramid_width)
                 level_channels.append((stride, pyramid_width))
-        self.pyramid = TopDownPyramid("pyramid", rng, level_channels, pyramid_width, dtype)
-
-        self._params = {}
-        for p in self._collect_parameters():
-            if p.name in self._params:
-                raise ContractError(f"duplicate parameter name {p.name}")
-            self._params[p.name] = p
-
-    def _collect_parameters(self):
-        params = list(self.backbone.parameters())
-        params.extend(self.edge.parameters())
-        for stride in sorted(self.wide):
-            params.extend(self.wide[stride].parameters())
-        params.extend(self.pyramid.parameters())
-        return params
+        self.pyramid = TopDownPyramid("pyramid", self.params, level_channels, pyramid_width)
 
     def parameters(self):
-        return list(self._params.values())
+        return list(self.params.values())
 
     def parameter_map(self):
-        return dict(self._params)
+        return dict(self.params)
 
     def zero_grads(self):
-        for p in self._params.values():
+        for p in self.params.values():
             p.zero_grad()
 
     def forward(self, image, timings=None):

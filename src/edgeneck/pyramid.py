@@ -13,8 +13,6 @@ dims, so a detection head can consume the set uniformly.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .layers import Conv2d
 from .levels import PyramidLevel, PyramidSet
 from .tensor import ConvSpec, add, up2_nearest
@@ -27,22 +25,15 @@ class TopDownPyramid:
     to coarse; all outputs have ``width`` channels.
     """
 
-    def __init__(self, name, rng, level_channels, width, dtype=np.float32):
+    def __init__(self, name, params, level_channels, width):
         self.laterals = {}
         self.smooths = {}
         smooth_spec = ConvSpec(padding=(1, 1))
         for stride, c_in in level_channels:
             self.laterals[stride] = Conv2d(
-                f"{name}.s{stride}.lateral", rng, c_in, width, (1, 1), dtype=dtype)
+                f"{name}.s{stride}.lateral", params, c_in, width, (1, 1))
             self.smooths[stride] = Conv2d(
-                f"{name}.s{stride}.smooth", rng, width, width, (3, 3), smooth_spec, dtype=dtype)
-
-    def parameters(self):
-        params = []
-        for stride in self.laterals:
-            params.extend(self.laterals[stride].parameters())
-            params.extend(self.smooths[stride].parameters())
-        return params
+                f"{name}.s{stride}.smooth", params, width, width, (3, 3), smooth_spec)
 
     def __call__(self, levels):
         coarser = None

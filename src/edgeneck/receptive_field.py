@@ -16,8 +16,6 @@ for any spatial extent.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import UsageError
 from .layers import Conv2d
 from .tensor import ConvSpec, concat_channels, mul, relu
@@ -45,9 +43,8 @@ def receptive_extent(k):
 class WideFieldBlock:
     """Five-branch wide/asymmetric receptive field module."""
 
-    def __init__(self, name, rng, c_in, c_out, dtype=np.float32):
-        self.branches = {1: [Conv2d(name + ".br1.point", rng, c_in, BRANCH_WIDTH, (1, 1),
-                                    dtype=dtype)]}
+    def __init__(self, name, params, c_in, c_out):
+        self.branches = {1: [Conv2d(name + ".br1.point", params, c_in, BRANCH_WIDTH, (1, 1))]}
         for k in (2, 3, 4):
             d = 2 * k - 1
             pad = d * (d - 1) // 2
@@ -55,22 +52,12 @@ class WideFieldBlock:
             col_spec = ConvSpec(padding=(pad, 0), dilation=(d, d))
             prefix = f"{name}.br{k}"
             self.branches[k] = [
-                Conv2d(prefix + ".point", rng, c_in, BRANCH_WIDTH, (1, 1), dtype=dtype),
-                Conv2d(prefix + ".row", rng, BRANCH_WIDTH, BRANCH_WIDTH, (1, d), row_spec,
-                       dtype=dtype),
-                Conv2d(prefix + ".col", rng, BRANCH_WIDTH, BRANCH_WIDTH, (d, 1), col_spec,
-                       dtype=dtype),
+                Conv2d(prefix + ".point", params, c_in, BRANCH_WIDTH, (1, 1)),
+                Conv2d(prefix + ".row", params, BRANCH_WIDTH, BRANCH_WIDTH, (1, d), row_spec),
+                Conv2d(prefix + ".col", params, BRANCH_WIDTH, BRANCH_WIDTH, (d, 1), col_spec),
             ]
-        self.branches[5] = [Conv2d(name + ".br5.point", rng, c_in, c_out, (1, 1), dtype=dtype)]
-        self.adjust = Conv2d(name + ".adjust", rng, 4 * BRANCH_WIDTH, c_out, (1, 1), dtype=dtype)
-
-    def parameters(self):
-        params = []
-        for k in (1, 2, 3, 4, 5):
-            for conv in self.branches[k]:
-                params.extend(conv.parameters())
-        params.extend(self.adjust.parameters())
-        return params
+        self.branches[5] = [Conv2d(name + ".br5.point", params, c_in, c_out, (1, 1))]
+        self.adjust = Conv2d(name + ".adjust", params, 4 * BRANCH_WIDTH, c_out, (1, 1))
 
     def branch_response(self, x, k):
         """Run branch k alone (used by the receptive-extent probes)."""

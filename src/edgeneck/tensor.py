@@ -23,7 +23,6 @@ deterministic on one machine.
 from __future__ import annotations
 
 import functools
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -79,15 +78,6 @@ class Tensor:
     def __repr__(self):
         shape = "x".join(str(d) for d in self.dims)
         return f"Tensor({shape}, {self.dtype_name}, requires_grad={self.requires_grad})"
-
-
-def kaiming_uniform(rng, dims, dtype=np.float32):
-    """Seeded uniform init in ±sqrt(6/fan_in); fan_in = dims[1]*dims[2]*dims[3]."""
-    fan_in = dims[1] * dims[2] * dims[3]
-    if fan_in <= 0:
-        raise ContractError(f"fan_in must be positive for init, got dims {dims}")
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, dims).astype(dtype)
 
 
 class Parameter:

@@ -17,6 +17,7 @@ from .aggregation import aggregate
 from .backbone import STRIDES
 from .edge_attention import ChannelAttention, EdgeGuidedAttention, edge_map
 from .gradcheck import grad_check
+from .layers import Params
 from .levels import PyramidLevel, PyramidSet
 from .network import Network, noise_image
 from .pyramid import TopDownPyramid
@@ -52,10 +53,10 @@ def _levels(strides, tensors):
 
 
 def _bound(params, loss):
-    """``loss`` of the leading arguments, with ``params`` rebound to the trailing ones."""
+    """``loss`` of the leading arguments, with store ``params`` rebound to the trailing ones."""
     def fn(*args):
         lead = len(args) - len(params)
-        for p, v in zip(params, args[lead:]):
+        for p, v in zip(params.values(), args[lead:]):
             p.value = v
         return loss(*args[:lead])
     return fn
@@ -65,23 +66,26 @@ def _case(label, seed, dims, loss, coords, block=None):
     """One check: ``loss`` over standard-normal inputs of ``dims``, then the block's parameters.
 
     Everything is drawn from the stream named by the label without its
-    ``op.``/``block.`` prefix: the block (built by ``block(rng)``) first,
-    then the inputs in order.  ``loss`` takes the block, when there is
-    one, then the inputs.
+    ``op.``/``block.`` prefix: the block (built by ``block(params)`` on a
+    float64 ``Params`` store of that stream) first, then the inputs in
+    order.  ``loss`` takes the block, when there is one, then the inputs.
+    ``run`` puts back the parameter values it rebinds.
     """
     key = label.split(".", 1)[1]
     rng = _rng(seed, key)
-    params = []
+    params = Params(rng, np.float64)
     if block is not None:
-        block = block(rng)
-        params = block.parameters()
-        loss = functools.partial(loss, block)
+        loss = functools.partial(loss, block(params))
     inputs = {name: rng.standard_normal(d) for name, d in dims.items()}
-    inputs.update((p.name, p.value) for p in params)
+    inputs.update((name, p.value) for name, p in params.items())
     fn = _bound(params, loss)
 
     def run():
-        return grad_check(fn, inputs, max_coords=coords, rng=_rng(seed, key + ".pick"))
+        try:
+            return grad_check(fn, inputs, max_coords=coords, rng=_rng(seed, key + ".pick"))
+        finally:
+            for name, p in params.items():
+                p.value = inputs[name]
     return label, run
 
 
@@ -123,21 +127,21 @@ def block_checks(seed=1):
         _case("block.deep_sobel", seed, {"x": (1, 3, 6, 6)}, lambda x: sum_all(edge_map(x)), 40),
         _case("block.channel_gate", seed, {"x": (1, 8, 4, 4)},
               lambda gate, x: _sq(gate(x)), 24,
-              block=lambda rng: ChannelAttention("check.gate", rng, 8, 4, np.float64)),
+              block=lambda params: ChannelAttention("check.gate", params, 8, 4)),
         _case("block.edge_attention", seed, {"f1": (1, 2, 8, 8), "f2": (1, 4, 4, 4)},
               lambda edge, f1, f2: _loss(*edge(f1, f2)), 16,
-              block=lambda rng: EdgeGuidedAttention("check.edge", rng, 4, 2, np.float64)),
+              block=lambda params: EdgeGuidedAttention("check.edge", params, 4, 2)),
         _case("block.aggregate", seed,
               {"x1": (1, 2, 16, 16), "x2": (1, 3, 8, 8), "x3": (1, 4, 4, 4),
                "x4": (1, 5, 2, 2), "x5": (1, 6, 1, 1)},
               lambda *xs: _loss(*aggregate(_levels(STRIDES, xs), "full").tensors()), 12),
         _case("block.wide_field", seed, {"x": (1, 3, 9, 9)},
               lambda wide, x: sum_all(wide(x)), 3,
-              block=lambda rng: WideFieldBlock("check.wide", rng, 3, 4, np.float64)),
+              block=lambda params: WideFieldBlock("check.wide", params, 3, 4)),
         _case("block.pyramid", seed, {"x1": (1, 3, 8, 8), "x2": (1, 4, 4, 4), "x3": (1, 5, 2, 2)},
               lambda pyr, *xs: _loss(*pyr(_levels((8, 16, 32), xs)).tensors()), 4,
-              block=lambda rng: TopDownPyramid("check.pyr", rng, [(8, 3), (16, 4), (32, 5)], 6,
-                                               np.float64)),
+              block=lambda params: TopDownPyramid("check.pyr", params,
+                                                  [(8, 3), (16, 4), (32, 5)], 6)),
     ]
 
 
@@ -149,10 +153,9 @@ def pipeline_check(seed=1):
     def run():
         net = Network(seed=seed, channels=(4, 8, 8, 16, 16), pyramid_width=8,
                       fa_mode="full", reduction=4, dtype=np.float64)
-        params = net.parameters()
         inputs = {"image": noise_image(seed, 64, 64, np.float64)}
-        inputs.update((p.name, p.value) for p in params)
-        fn = _bound(params, lambda image: _loss(*net.forward(image).outputs.tensors()))
+        inputs.update((name, p.value) for name, p in net.params.items())
+        fn = _bound(net.params, lambda image: _loss(*net.forward(image).outputs.tensors()))
         return grad_check(fn, inputs, rng=_rng(seed, "pipeline.pick"), directional=True)
     return [("pipeline.full", run)]
 

@@ -28,6 +28,7 @@ from .tensor import DTYPE_NAMES
 
 MAGIC = b"ERLW"
 VERSION = 1
+CHECK_PREFIX = "check."  # names of stored reference outputs, kept apart from parameters
 
 _DTYPE_CODE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
@@ -121,9 +122,9 @@ def read_container(path):
 
 
 def split_entries(entries):
-    """Separate parameter entries from ``check.*`` reference entries."""
-    params = {k: v for k, v in entries.items() if not k.startswith("check.")}
-    checks = {k: v for k, v in entries.items() if k.startswith("check.")}
+    """Separate parameter entries from ``CHECK_PREFIX`` reference entries."""
+    params = {k: v for k, v in entries.items() if not k.startswith(CHECK_PREFIX)}
+    checks = {k: v for k, v in entries.items() if k.startswith(CHECK_PREFIX)}
     return params, checks
 
 

@@ -76,7 +76,7 @@ def test_sobel_oracle(criterion):
 
 def test_attention_bound(criterion):
     with criterion("channel gate: |out| <= |in| with sign kept on 100 inputs; zero -> zero"):
-        gate = ChannelAttention("acc.gate", np.random.default_rng(5), 8, 4, np.float64)
+        gate = ChannelAttention("acc.gate", en.Params(np.random.default_rng(5), np.float64), 8, 4)
         for seed in range(100):
             x = np.random.default_rng(seed).standard_normal((1, 8, 4, 4))
             out = gate(en.Tensor(x)).data
@@ -122,7 +122,8 @@ def test_channel_contract_and_ablation(criterion):
 
 def test_impulse_structure(criterion):
     with criterion("wide-field branch reach == (0,3,10,21,0); non-negative; zero -> zero"):
-        block = en.WideFieldBlock("acc.wide", np.random.default_rng(23), 2, 3, np.float64)
+        params = en.Params(np.random.default_rng(23), np.float64)
+        block = en.WideFieldBlock("acc.wide", params, 2, 3)
         data = np.zeros((1, 2, 47, 47))
         data[0, :, 23, 23] = 1.0
         x = en.Tensor(data)
@@ -141,8 +142,8 @@ def test_impulse_structure(criterion):
 def test_topdown_contract(criterion):
     with criterion("pyramid dims follow inputs; G_i depends on RF_j iff j >= i; coarsest bypass"):
         level_channels = [(8, 6), (16, 10), (32, 14), (64, 18)]
-        pyr = en.TopDownPyramid("acc.pyr", np.random.default_rng(31),
-                                level_channels, 8, np.float64)
+        pyr = en.TopDownPyramid("acc.pyr", en.Params(np.random.default_rng(31), np.float64),
+                                level_channels, 8)
 
         def levels(bump_stride=None):
             rng = np.random.default_rng(37)

@@ -8,8 +8,8 @@ from edgeneck.backbone import STRIDES
 from edgeneck.errors import ContractError, ShapeError
 
 
-def make_backbone(seed=0, channels=(16, 32, 64, 128, 256), dtype=np.float64):
-    return en.Backbone("t.bb", np.random.default_rng(seed), channels, dtype)
+def make_backbone(seed=0, channels=(16, 32, 64, 128, 256)):
+    return en.Backbone("t.bb", en.Params(np.random.default_rng(seed), np.float64), channels)
 
 
 def image(h=256, w=256, seed=1, dtype=np.float64):

@@ -14,6 +14,10 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def store(seed, dtype=np.float64):
+    return en.Params(rng(seed), dtype)
+
+
 class TestSobelKernels:
     def test_literal_values(self):
         assert np.array_equal(en.SOBEL_X, [[1, 0, -1], [2, 0, -2], [1, 0, -1]])
@@ -129,7 +133,7 @@ class TestEdgeGuide:
 
 class TestChannelAttention:
     def make(self, channels=8, reduction=4, seed=10):
-        return ChannelAttention("t.gate", rng(seed), channels, reduction, np.float64)
+        return ChannelAttention("t.gate", store(seed), channels, reduction)
 
     def test_zero_input_zero_output_exact(self):
         gate = self.make()
@@ -166,12 +170,12 @@ class TestChannelAttention:
 
     def test_reduction_must_divide(self):
         with pytest.raises(ConfigError):
-            ChannelAttention("t.gate", rng(0), 8, 3)
+            ChannelAttention("t.gate", store(0, np.float32), 8, 3)
 
 
 class TestEdgeGuidedAttention:
     def test_shapes_and_zero(self):
-        block = en.EdgeGuidedAttention("t.edge", rng(13), channels2=32, reduction=16)
+        block = en.EdgeGuidedAttention("t.edge", store(13, np.float32), channels2=32, reduction=16)
         f1 = en.Tensor(np.zeros((1, 16, 64, 64), np.float32))
         f2 = en.Tensor(np.zeros((1, 32, 32, 32), np.float32))
         f1t, f2t = block(f1, f2)
@@ -180,8 +184,7 @@ class TestEdgeGuidedAttention:
         assert not f1t.data.any() and not f2t.data.any()
 
     def test_constant_first_feature_guides_to_zero(self):
-        block = en.EdgeGuidedAttention("t.edge", rng(14), channels2=4, reduction=2,
-                                       dtype=np.float64)
+        block = en.EdgeGuidedAttention("t.edge", store(14), channels2=4, reduction=2)
         f1 = en.Tensor(np.full((1, 2, 8, 8), 3.0, np.float64))
         f2 = en.Tensor(rng(15).standard_normal((1, 4, 4, 4)))
         f1t, _ = block(f1, f2)

@@ -7,6 +7,7 @@ import pytest
 
 import edgeneck as en
 import edgeneck.tensor as tensor_core
+from edgeneck import verify
 from edgeneck.errors import ContractError
 from edgeneck.gradcheck import EPS, grad_check
 from edgeneck.tensor import BACKWARD
@@ -289,6 +290,48 @@ def test_a_misaligned_call_recomputes(monkeypatch):
     kernels = _count_conv_kernels(monkeypatch)
     assert grad_check(shifted, _two_conv_inputs()).entries == aligned
     assert len(kernels) == 2 * len(evaluations) == 2 * (1 + 2 * (32 + 54 + 6))
+
+
+def _recorded_stores(monkeypatch):
+    """The ``Params`` stores the check builders make, in order."""
+    stores = []
+
+    class Recorded(en.Params):
+        def __init__(self, rng, dtype):
+            super().__init__(rng, dtype)
+            stores.append(self)
+
+    monkeypatch.setattr(verify, "Params", Recorded)
+    return stores
+
+
+def test_block_checks_put_parameter_values_back(monkeypatch):
+    """After a block check returns, each parameter holds the very tensor it held before."""
+    stores = _recorded_stores(monkeypatch)
+    checks = block_checks(1)
+    assert [len(params) for params in stores] == [0, 2, 2, 0, 24, 12]
+    for (label, run), params in zip(checks, stores):
+        before = {name: p.value for name, p in params.items()}
+        assert run().ok, label
+        assert all(p.value is before[name] for name, p in params.items()), label
+
+
+def test_a_raising_block_check_puts_parameter_values_back(monkeypatch):
+    """The same holds when the checker raises after an evaluation."""
+    stores = _recorded_stores(monkeypatch)
+    checks = dict(block_checks(1))
+    run, params = checks["block.channel_gate"], dict(zip(checks, stores))["block.channel_gate"]
+    before = {name: p.value for name, p in params.items()}
+
+    def evaluate_once_then_fail(fn, inputs, **kw):
+        fn(*(en.Tensor(np.asarray(getattr(v, "data", v), np.float64) + EPS)
+             for v in inputs.values()))
+        raise ContractError("stop")
+
+    monkeypatch.setattr(verify, "grad_check", evaluate_once_then_fail)
+    with pytest.raises(ContractError, match="stop"):
+        run()
+    assert all(p.value is before[name] for name, p in params.items())
 
 
 def test_requires_scalar_target():

@@ -1,5 +1,7 @@
 """Full pipeline wiring: names, ablation shapes, coarsest-level bypass."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,21 @@ class TestDeterminism:
         names1 = [p.name for p in net1.parameters()]
         assert names1 == [p.name for p in net2.parameters()]
         assert len(names1) == len(set(names1))
+
+    def test_parameter_order_and_draws_are_pinned(self):
+        """Creation order fixes both the seeded draws and the weights-dump layout."""
+        params = en.Network(seed=0).parameters()
+        h = hashlib.blake2b(digest_size=8)
+        for p in params:
+            h.update(p.name.encode())
+            h.update(p.value.data.tobytes())
+        assert (len(params), h.hexdigest()) == (102, "c3bb65c125107979")
+        groups = list(dict.fromkeys(".".join(p.name.split(".")[:2]) for p in params))
+        assert groups == [
+            "backbone.stem1", "backbone.stem2", "backbone.stage2", "backbone.stage3",
+            "backbone.stage4", "backbone.stage5", "edge.gate", "wide.s8", "wide.s16",
+            "wide.s32", "pyramid.s8", "pyramid.s16", "pyramid.s32", "pyramid.s64",
+        ]
 
 
 class TestValidation:

@@ -21,10 +21,11 @@ def make_levels(channels=(6, 10, 14, 18), base=32, seed=0, bump=None):
     return en.PyramidSet(levels)
 
 
-def make_pyramid(channels=(6, 10, 14, 18), width=8, seed=1):
+def make_pyramid(channels=(6, 10, 14, 18), width=8, seed=1, params=None):
+    if params is None:
+        params = en.Params(np.random.default_rng(seed), np.float64)
     level_channels = [(8 << i, c) for i, c in enumerate(channels)]
-    return en.TopDownPyramid("t.pyr", np.random.default_rng(seed),
-                             level_channels, width, np.float64)
+    return en.TopDownPyramid("t.pyr", params, level_channels, width)
 
 
 class TestShapes:
@@ -45,8 +46,9 @@ class TestShapes:
             assert not lv.tensor.data.any()
 
     def test_parameter_inventory(self):
-        pyr = make_pyramid(channels=(4, 6, 8, 10), width=12)
-        dims = {p.name: p.dims for p in pyr.parameters()}
+        params = en.Params(np.random.default_rng(1), np.float64)
+        make_pyramid(channels=(4, 6, 8, 10), width=12, params=params)
+        dims = {name: p.dims for name, p in params.items()}
         assert dims["t.pyr.s8.lateral.w"] == (12, 4, 1, 1)
         assert dims["t.pyr.s64.lateral.w"] == (12, 10, 1, 1)
         assert dims["t.pyr.s16.smooth.w"] == (12, 12, 3, 3)

@@ -7,8 +7,10 @@ import edgeneck as en
 from edgeneck.errors import UsageError
 
 
-def make_block(c_in=2, c_out=3, seed=0, dtype=np.float64):
-    return en.WideFieldBlock("t.wide", np.random.default_rng(seed), c_in, c_out, dtype)
+def make_block(c_in=2, c_out=3, seed=0, params=None):
+    if params is None:
+        params = en.Params(np.random.default_rng(seed), np.float64)
+    return en.WideFieldBlock("t.wide", params, c_in, c_out)
 
 
 def impulse(c=2, hw=47, dtype=np.float64):
@@ -94,8 +96,9 @@ class TestBlockBehavior:
         assert np.array_equal(got, want)
 
     def test_parameter_shapes(self):
-        block = make_block(c_in=6, c_out=5)
-        dims = {p.name: p.dims for p in block.parameters()}
+        params = en.Params(np.random.default_rng(0), np.float64)
+        make_block(c_in=6, c_out=5, params=params)
+        dims = {name: p.dims for name, p in params.items()}
         assert dims["t.wide.br1.point.w"] == (32, 6, 1, 1)
         assert dims["t.wide.br2.row.w"] == (32, 32, 1, 3)
         assert dims["t.wide.br2.col.w"] == (32, 32, 3, 1)
