@@ -11,11 +11,16 @@ import numpy as np
 
 
 def tensor_stats(arr):
-    """min/max/mean/L2 of an array, accumulated in f64."""
-    data = np.asarray(arr, np.float64)
+    """min/max/mean/L2 of an array: sums accumulated in f64, extrema read in its own dtype.
+
+    Widening to f64 is exact and an extremum does not depend on order, so
+    the extrema equal those of the f64 copy without reading it.
+    """
+    arr = np.asarray(arr)
+    data = arr.astype(np.float64, copy=False)
     return {
-        "min": float(data.min()),
-        "max": float(data.max()),
+        "min": float(arr.min()),
+        "max": float(arr.max()),
         "mean": float(data.mean()),
         "l2": float(np.sqrt(np.sum(data * data))),
     }

@@ -345,7 +345,7 @@ def _conv_forward(xd, wd, bias_d, spec, oh, ow):
     n, c = xd.shape[:2]
     c_out, _, kh, kw = wd.shape
     k = c * kh * kw
-    out = np.zeros((n, c_out, oh * ow), xd.dtype)
+    out = np.empty((n, c_out, oh * ow), xd.dtype)  # the row tiles write every element
     if out.size:
         xp = _padded(xd, spec.padding)
         w2 = wd.reshape(c_out, k)
@@ -395,8 +395,8 @@ def _conv_backward(rec, grad_out):
 
     grad_w = None
     if weight.requires_grad:
-        # grad_out @ cols^T per chunk of input channels, written in place
-        grad_w = np.zeros_like(wd)
+        # grad_out @ cols^T per chunk of input channels, which write every column
+        grad_w = np.empty_like(wd) if grad_out.size else np.zeros_like(wd)
         if grad_out.size:
             xp = _padded(xd, spec.padding)
             go2 = go.transpose(1, 0, 2).reshape(c_out, n * oh * ow)
@@ -457,8 +457,13 @@ def _mul_backward(rec, grad_out):
 
 @_reusable
 def relu(x):
-    mask = x.data > 0
-    return _record("relu", (x,), np.where(mask, x.data, x.data.dtype.type(0)), branch=mask)
+    xd = x.data
+    zero = xd.dtype.type(0)
+    # bit-equal to where(x > 0, x, 0) without its data-dependent branch:
+    # fmax sends NaN to 0, and adding +0 turns a -0 that fmax may keep into +0
+    out = np.fmax(xd, zero)
+    out += zero
+    return _record("relu", (x,), out, branch=xd > 0)
 
 
 def _relu_backward(rec, grad_out):

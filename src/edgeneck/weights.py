@@ -132,7 +132,8 @@ def load_into_parameters(params, entries):
     """Copy container entries into a name -> Parameter map, strictly.
 
     Every entry must name a known parameter with identical dims and
-    element type; dtype conversion is refused rather than silent.
+    element type, and hold only finite values; dtype conversion is refused
+    rather than silent.  Nothing is copied unless every entry passes.
     """
     for name, arr in entries.items():
         if name not in params:
@@ -149,4 +150,9 @@ def load_into_parameters(params, entries):
                 f"{name}: container holds {have} but the model runs {want}; "
                 f"conversion is refused, rebuild with dtype={have}"
             )
-        value.data[...] = arr
+        finite = np.isfinite(arr)
+        if not finite.all():
+            at = tuple(int(i) for i in np.unravel_index(np.argmin(finite), arr.shape))
+            raise LoadError(f"{name}: non-finite value {float(arr[at])!r} at index {at}")
+    for name, arr in entries.items():
+        params[name].value.data[...] = arr

@@ -136,6 +136,15 @@ class TestForward:
             for stat, value in tensor_stats(arr).items():
                 assert float(parsed[f"stats.{name}.{stat}"]) == value
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_stats_equal_those_of_an_f64_copy(self, dtype):
+        arr = (np.random.default_rng(9).standard_normal((1, 64, 16, 16)) + 3).astype(dtype)
+        wide = arr.astype(np.float64)
+        want = {"min": float(wide.min()), "max": float(wide.max()), "mean": float(wide.mean()),
+                "l2": float(np.sqrt(np.sum(wide * wide)))}
+        assert {k: repr(v) for k, v in tensor_stats(arr).items()} == \
+            {k: repr(v) for k, v in want.items()}
+
     def test_timings_lines_only_on_request(self, run_cli, small_cfg):
         _, plain, _ = run_cli("forward", "--config", small_cfg)
         _, timed, _ = run_cli("forward", "--config", small_cfg, "--timings")
@@ -244,6 +253,18 @@ class TestWeights:
             box.write_bytes(header + struct.pack("<H", len(name)) + name + descriptor + bytes(4))
             code, _, err = run_cli("weights", "load-verify", box, "--config", small_cfg)
             assert code == 3 and message in err
+
+    def test_non_finite_parameter_exits_3(self, run_cli, small_cfg, tmp_path):
+        box = tmp_path / "w.erlw"
+        run_cli("weights", "dump", box, "--config", small_cfg)
+        entries = unpack_entries(box.read_bytes())
+        entries["pyramid.s8.smooth.b"][0, 2, 0, 0] = np.nan
+        box.write_bytes(pack_entries(entries))
+        message = "pyramid.s8.smooth.b: non-finite value nan at index (0, 2, 0, 0)"
+        for argv in (("forward", "--config", small_cfg, "--weights", box),
+                     ("weights", "load-verify", box, "--config", small_cfg)):
+            code, out, err = run_cli(*argv)
+            assert code == 3 and message in err and out == ""
 
     def test_dtype_mismatch_exits_3(self, run_cli, tmp_path):
         f64_cfg = tmp_path / "d.cfg"

@@ -143,9 +143,12 @@ class TestConv2d:
         for got, want in zip(run(x, spec), run(x_pad, unpadded)):
             assert np.array_equal(got, want)
 
-    def test_tile_seams(self, monkeypatch):
-        # one output row per im2col tile and one input channel per grad_w chunk
-        monkeypatch.setattr(tensor_core, "_TILE_BYTES", 1)
+    # Forward tiles here are 2*18*6*8 = 1728 bytes a row over oh = 5 rows, grad_w
+    # chunks 6*2*5*6*8 = 2880 bytes a channel: 1 byte gives one-row tiles, 2 * 1728
+    # gives rows 0-1, 2-3 and the uneven 4; both give one channel per chunk.
+    @pytest.mark.parametrize("tile_bytes", [1, 2 * 1728], ids=["one_row", "two_rows"])
+    def test_tile_seams(self, monkeypatch, tile_bytes):
+        monkeypatch.setattr(tensor_core, "_TILE_BYTES", tile_bytes)
         r = rng(43)
         x = r.standard_normal((2, 3, 7, 6))
         w = r.standard_normal((4, 3, 3, 2))
@@ -190,6 +193,23 @@ class TestElementwise:
     def test_mul_with_ones_is_identity(self):
         x = en.Tensor(rng().standard_normal((1, 3, 4, 4)))
         assert np.array_equal(en.mul(x, en.Tensor(np.ones_like(x.data))).data, x.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_is_bit_equal_to_a_select(self, dtype):
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, info.smallest_subnormal,
+                   -info.smallest_subnormal, info.tiny, -info.tiny, info.max, -info.max]
+        mixed = np.concatenate([np.asarray(special, dtype),
+                                rng(5).standard_normal(53).astype(dtype)])
+        # fmax keeps the sign of -0 in some head or tail elements that its vector
+        # loop leaves over, so -0 also fills every position of every length to 33
+        for x in [mixed.reshape(1, 1, 8, 8)] + [np.full((1, 1, 1, n), -0.0, dtype)
+                                                for n in range(1, 34)]:
+            with en.Tape() as tape:
+                y = en.relu(en.Tensor(x, requires_grad=True)).data
+            want = np.where(x > 0, x, dtype(0))
+            assert y.tobytes() == want.tobytes()  # the sign bit of zero and NaN to 0 included
+            assert np.array_equal(tape.records[-1].saved["branch"], x > 0)
 
     def test_sigmoid_of_zero(self):
         assert np.all(en.sigmoid(en.Tensor(np.zeros((1, 2, 2, 2), np.float32))).data == 0.5)

@@ -154,6 +154,17 @@ class TestLoadIntoParameters:
             load_into_parameters(self.make_params(),
                                  {"a.w": np.zeros((3, 2, 1, 1), np.float32)})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused_before_any_copy(self, bad):
+        params = self.make_params()
+        b = np.zeros((1, 2, 1, 1), np.float32)
+        b[0, 1, 0, 0] = bad
+        entries = {"a.w": np.full((2, 3, 1, 1), 7.0, np.float32), "a.b": b}
+        message = rf"a\.b: non-finite value {bad!r} at index \(0, 1, 0, 0\)"
+        with pytest.raises(LoadError, match=message):
+            load_into_parameters(params, entries)
+        assert np.all(params["a.w"].value.data == 1.0)  # the valid entry before it was not copied
+
     def test_dtype_conversion_refused(self):
         with pytest.raises(LoadError, match="refused"):
             load_into_parameters(self.make_params(),
