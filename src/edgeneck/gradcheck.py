@@ -15,8 +15,8 @@ error, so a NaN gradient fails too.  Ops are pure and no block picks its
 op calls by data values, so a probe evaluation, given a fresh tensor for
 the perturbed input, repeats the base forward's calls in order; its k-th
 call reuses the k-th result when the arguments are the same tensors
-(:func:`~edgeneck.tensor.op_memo`), so it computes only what the
-perturbed input reaches.
+(each probe evaluation's tape replays the base forward's tape), so it
+computes only what the perturbed input reaches.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor, Tape, backward, op_memo
+from .tensor import Tensor, Tape, backward
 
 EPS = 1e-5
 TOL = 1e-6
@@ -94,10 +94,10 @@ def _rel_err(analytic, numeric):
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 
-def _central(fn, args, i, step, memo):
+def _central(fn, args, i, step, base):
     """Central difference of ``fn`` along the unit vector ``step`` (dims of ``args[i]``).
 
-    Each evaluation gets a fresh tensor in slot ``i`` and rewinds ``memo``.
+    Each evaluation gets a fresh tensor in slot ``i`` and a tape replaying ``base``.
     Returns ``None`` when the two evaluations take different branches
     (the probe straddles a kink), so the quotient would be meaningless.
     """
@@ -106,8 +106,7 @@ def _central(fn, args, i, step, memo):
     branches = []
     for sign in (EPS, -EPS):
         probe[i] = Tensor(args[i].data + sign * step, requires_grad=True)
-        memo.pos = 0
-        with Tape() as tape:
+        with Tape(replay=base) as tape:
             values.append(fn(*probe).item())
         branches.append([rec.saved["branch"] for rec in tape.records if "branch" in rec.saved])
     if not all(map(np.array_equal, *branches)):
@@ -154,35 +153,34 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
         leaves[label] = Tensor(data.astype(np.float64), requires_grad=True)
     args = list(leaves.values())
 
-    with op_memo() as memo:
-        with Tape() as tape:
-            out = fn(*args)
-        if out.dims != (1, 1, 1, 1):
-            raise ContractError(f"grad_check target must return a 1x1x1x1 scalar, got {out.dims}")
-        if out.requires_grad:  # else no input reaches it: every analytic gradient stays zero
-            backward(tape, out)
+    with Tape() as tape:
+        out = fn(*args)
+    if out.dims != (1, 1, 1, 1):
+        raise ContractError(f"grad_check target must return a 1x1x1x1 scalar, got {out.dims}")
+    if out.requires_grad:  # else no input reaches it: every analytic gradient stays zero
+        backward(tape, out)
 
-        entries = []
-        for i, (label, leaf) in enumerate(leaves.items()):
-            analytic = np.zeros(leaf.dims) if leaf.grad is None else leaf.grad
-            target = max_coords or (1 if directional else leaf.data.size)
-            steps = _steps(leaf.dims, rng, max_coords is not None, directional)
-            probed = 0
-            skipped = 0
-            worst = 0.0
-            worst_coord = None
-            # skipped probes draw replacements, within a bounded budget
-            for step, coord in islice(steps, max(6 * target, target + 12)):
-                numeric = _central(fn, args, i, step, memo)
-                if numeric is None:
-                    skipped += 1
-                    continue
-                err = _rel_err(float(np.vdot(analytic, step)), numeric)
-                probed += 1
-                if err > worst:
-                    worst = err
-                    worst_coord = coord
-                if probed == target:
-                    break
-            entries.append(GradCheckEntry(label, probed, skipped, worst, worst_coord))
+    entries = []
+    for i, (label, leaf) in enumerate(leaves.items()):
+        analytic = np.zeros(leaf.dims) if leaf.grad is None else leaf.grad
+        target = max_coords or (1 if directional else leaf.data.size)
+        steps = _steps(leaf.dims, rng, max_coords is not None, directional)
+        probed = 0
+        skipped = 0
+        worst = 0.0
+        worst_coord = None
+        # skipped probes draw replacements, within a bounded budget
+        for step, coord in islice(steps, max(6 * target, target + 12)):
+            numeric = _central(fn, args, i, step, tape)
+            if numeric is None:
+                skipped += 1
+                continue
+            err = _rel_err(float(np.vdot(analytic, step)), numeric)
+            probed += 1
+            if err > worst:
+                worst = err
+                worst_coord = coord
+            if probed == target:
+                break
+        entries.append(GradCheckEntry(label, probed, skipped, worst, worst_coord))
     return GradCheckReport(entries, EPS, TOL)

@@ -6,9 +6,9 @@ immutable tensors.  While a :class:`Tape` is active, ops whose result
 depends on a gradient-carrying tensor append a record; :func:`backward`
 replays those records in exact reverse creation order and accumulates
 ``d(root)/d(leaf)`` into the ``grad`` of every leaf it reaches, made on first reach.
-Inside :func:`op_memo`, which one gradient check opens, a probe's k-th
-op call returns the base forward's k-th output when it has the same op
-and arguments, tensors matched by identity, instead of computing it.
+The innermost tape also lists every op call; a tape that replays another
+returns that tape's k-th output for its own k-th call when the op and
+arguments are the same, tensors matched by identity, instead of computing it.
 
 Convolution uses the cross-correlation convention (no kernel flip) and is
 lowered to im2col plus one matrix multiply (GEMM), forward and backward.
@@ -23,7 +23,6 @@ deterministic on one machine.
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +110,7 @@ class Parameter:
 
 @dataclass(slots=True)
 class TapeRecord:
-    """One recorded op: id, input refs, output ref, saved intermediates.
+    """One recorded op: op name, input refs, output ref, saved intermediates.
 
     An op that takes a branch (a relu mask, a pool arg-max) saves that
     decision under ``"branch"``; its backward rule reads it from there,
@@ -127,12 +126,19 @@ class TapeRecord:
 class Tape:
     """Ordered op record for one execution context.
 
-    Use as a context manager; ops executed inside the ``with`` block are
-    recorded whenever their output depends on a gradient-carrying tensor.
+    Use as a context manager.  While it is the innermost active tape, every
+    op call is listed in ``calls`` as ``((op, args, kwargs), output, record)``
+    and every op whose output depends on a gradient-carrying tensor appends
+    a record.  A tape made with ``replay=base`` returns ``base``'s k-th
+    output for its own k-th call when the two calls are equal (a tensor
+    equals only itself) and appends the stored record; otherwise it
+    computes anew.
     """
 
-    def __init__(self):
+    def __init__(self, replay=None):
         self.records = []
+        self.calls = []
+        self.replay = () if replay is None else replay.calls
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -165,58 +171,25 @@ def _record(op, inputs, data, **saved):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Op results reused within one gradient check
-# ---------------------------------------------------------------------------
-
-_MEMO = None  # the _Memo of the gradient check running now, if any
-
-
-class _Memo(list):
-    """A gradient check's base-forward op calls, ``((op, args, kwargs), output, record)``.
-
-    They are stored while ``pos`` is None.  A probe evaluation rewinds
-    ``pos`` to 0; its k-th call reuses entry k when the triples are equal
-    (a tensor equals only itself) and computes anew otherwise.
-    """
-
-    pos = None
-
-
-@contextmanager
-def op_memo():
-    """A fresh memo that ops use until the block exits; it is emptied then."""
-    global _MEMO
-    memo = _Memo()
-    outer, _MEMO = _MEMO, memo
-    try:
-        yield memo
-    finally:
-        _MEMO = outer
-        memo.clear()
-
-
 def _reusable(op):
-    """``op``, storing or reusing its calls while an :func:`op_memo` is active."""
+    """``op``, listed on the innermost tape and reused from the tape that one replays."""
     @functools.wraps(op)
     def call(*args, **kwargs):
-        memo = _MEMO
-        if memo is None:
+        if not _TAPE_STACK:
             return op(*args, **kwargs)
-        k = memo.pos
-        if k is None:
+        tape = _TAPE_STACK[-1]
+        k = len(tape.calls)
+        key = (op, args, kwargs)
+        if k < len(tape.replay) and tape.replay[k][0] == key:
+            entry = tape.replay[k]
+            if entry[2] is not None:
+                tape.records.append(entry[2])
+        else:
             out = op(*args, **kwargs)
-            records = _TAPE_STACK[-1].records if _TAPE_STACK else ()
-            rec = records[-1] if records and records[-1].output is out else None
-            memo.append(((op, args, kwargs), out, rec))
-            return out
-        memo.pos = k + 1
-        if k < len(memo) and memo[k][0] == (op, args, kwargs):
-            _, out, rec = memo[k]
-            if rec is not None and _TAPE_STACK:
-                _TAPE_STACK[-1].records.append(rec)
-            return out
-        return op(*args, **kwargs)
+            records = tape.records
+            entry = (key, out, records[-1] if records and records[-1].output is out else None)
+        tape.calls.append(entry)
+        return entry[1]
     return call
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import edgeneck as en
 import edgeneck.tensor as tensor_core
-from edgeneck import verify
+from edgeneck import gradcheck, verify
 from edgeneck.errors import ContractError
 from edgeneck.gradcheck import EPS, grad_check
 from edgeneck.tensor import BACKWARD
@@ -193,19 +193,6 @@ def test_max_coords_caps_probe_count():
     assert report.entries[0].probed == 5
 
 
-def _count_conv_kernels(monkeypatch):
-    """Count the conv kernels computed from here on; returns the live list of input dims."""
-    calls = []
-    original = tensor_core._conv_forward
-
-    def counted(*args):
-        calls.append(args[0].shape)
-        return original(*args)
-
-    monkeypatch.setattr(tensor_core, "_conv_forward", counted)
-    return calls
-
-
 def _two_convs(x, w1, w2):
     return en.sum_all(en.conv2d(en.conv2d(x, w1), w2))
 
@@ -216,15 +203,14 @@ def _two_conv_inputs():
             "w2": r.standard_normal((2, 3, 1, 1))}
 
 
-def test_probes_recompute_only_the_convs_their_input_reaches(monkeypatch):
+def test_probes_recompute_only_the_convs_their_input_reaches(conv_kernels):
     """A probe of w2 reuses conv(x, w1) from the base forward; a probe of x or w1 cannot."""
-    kernels = _count_conv_kernels(monkeypatch)
     report = grad_check(_two_convs, _two_conv_inputs())
     assert report.ok
     assert [(e.probed, e.skipped) for e in report.entries] == [(32, 0), (54, 0), (6, 0)]
     # the taped forward computes both convs, then each of a probe's two evaluations
     # computes two for x and w1 and one for w2
-    assert len(kernels) == 2 + 2 * (2 * 32 + 2 * 54 + 1 * 6)
+    assert len(conv_kernels) == 2 + 2 * (2 * 32 + 2 * 54 + 1 * 6)
 
 
 def _constant_conv_loss(x, scalar=True):
@@ -235,17 +221,16 @@ def _constant_conv_loss(x, scalar=True):
     return en.sum_all(out) if scalar else out
 
 
-def test_reuse_ends_with_the_check(monkeypatch):
+def test_reuse_ends_with_the_check(conv_kernels):
     """After a check returns or raises, a taped forward computes every conv, records every op."""
     x = rng(16).standard_normal((1, 1, 4, 4))
-    kernels = _count_conv_kernels(monkeypatch)
 
     def assert_plain_forward():
-        assert tensor_core._MEMO is None
-        kernels.clear()
+        assert tensor_core._TAPE_STACK == []
+        conv_kernels.clear()
         with en.Tape() as tape:
             _constant_conv_loss(en.Tensor(x, requires_grad=True))
-        assert len(kernels) == 2
+        assert len(conv_kernels) == 2
         assert [rec.op for rec in tape.records] == ["conv2d", "mul", "sum_all"]
 
     assert grad_check(_constant_conv_loss, {"x": x}).ok
@@ -255,28 +240,28 @@ def test_reuse_ends_with_the_check(monkeypatch):
     assert_plain_forward()
 
 
-def test_reports_are_unchanged_with_reuse_defeated(monkeypatch):
+def test_reports_are_unchanged_with_reuse_defeated(monkeypatch, conv_kernels):
     """Every op computed anew at every probe gives the same entries, bit for bit."""
     checks = [c for c in block_checks(1) if c[0] == "block.wide_field"] + pipeline_check(1)
-    kernels = _count_conv_kernels(monkeypatch)
+    conv_kernels.clear()
     reused = [run().entries for _, run in checks]
-    computed = len(kernels)
-    kernels.clear()
-    monkeypatch.setattr(tensor_core._Memo, "append", lambda memo, call: None)  # store nothing
+    computed = len(conv_kernels)
+    conv_kernels.clear()
+    monkeypatch.setattr(gradcheck, "Tape", lambda replay=None: en.Tape())  # replay nothing
     assert [run().entries for _, run in checks] == reused
-    assert len(kernels) > 2 * computed
+    assert len(conv_kernels) > 2 * computed
 
 
 @pytest.mark.parametrize("label, count", [("block.edge_attention", 426), ("pipeline.full", 2244)])
-def test_constant_kernels_are_reused(monkeypatch, label, count):
+def test_constant_kernels_are_reused(conv_kernels, label, count):
     """deep_sobel's kernels are built once, so probes match them and reuse their convs."""
     [run] = [run for name, run in block_checks(1) + pipeline_check(1) if name == label]
-    kernels = _count_conv_kernels(monkeypatch)
+    conv_kernels.clear()
     run()
-    assert len(kernels) == count
+    assert len(conv_kernels) == count
 
 
-def test_a_misaligned_call_recomputes(monkeypatch):
+def test_a_misaligned_call_recomputes(conv_kernels):
     """Calls shifted by one position from the base forward's match nothing and compute anew."""
     evaluations = []
 
@@ -287,9 +272,9 @@ def test_a_misaligned_call_recomputes(monkeypatch):
         return _two_convs(x, w1, w2)
 
     aligned = grad_check(_two_convs, _two_conv_inputs()).entries
-    kernels = _count_conv_kernels(monkeypatch)
+    conv_kernels.clear()
     assert grad_check(shifted, _two_conv_inputs()).entries == aligned
-    assert len(kernels) == 2 * len(evaluations) == 2 * (1 + 2 * (32 + 54 + 6))
+    assert len(conv_kernels) == 2 * len(evaluations) == 2 * (1 + 2 * (32 + 54 + 6))
 
 
 def _recorded_stores(monkeypatch):
