@@ -17,12 +17,14 @@ def tensor_stats(arr):
     the extrema equal those of the f64 copy without reading it.
     """
     arr = np.asarray(arr)
-    data = arr.astype(np.float64, copy=False)
+    data = arr.astype(np.float64)  # always a copy, even of an f64 array: squared in place
+    mean = data.mean()
+    np.multiply(data, data, out=data)
     return {
         "min": float(arr.min()),
         "max": float(arr.max()),
-        "mean": float(data.mean()),
-        "l2": float(np.sqrt(np.sum(data * data))),
+        "mean": float(mean),
+        "l2": float(np.sqrt(np.sum(data))),
     }
 
 

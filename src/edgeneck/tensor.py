@@ -11,12 +11,22 @@ returns that tape's k-th output for its own k-th call when the op and
 arguments are the same, tensors matched by identity, instead of computing it.
 
 Convolution uses the cross-correlation convention (no kernel flip) and is
-lowered to im2col plus one matrix multiply (GEMM), forward and backward.
-Every im2col and col2im buffer is bounded by ``_TILE_BYTES``: the forward
-and the input gradient are tiled over output rows, the weight gradient over
-input channels.  The summation order is the BLAS library's, so results
-agree with a scalar nested-loop reference within the rounding-error bound
-of a length-``C*kH*kW`` dot product, not bit-for-bit; they are
+lowered to im2col plus matrix multiplies (GEMM), forward and backward.
+Every im2col and col2im buffer is bounded by ``_TILE_BYTES``, or holds one
+tiling unit when that is larger:
+
+* forward: per tile of output rows, one GEMM per image into the output;
+* input gradient: per tile of output rows, one GEMM
+  ``W^T (K x C_out) @ grad_out (C_out x N*rows*OW)`` with the batch folded
+  into the columns, its product scattered one ``(ky, kx)`` tap at a time
+  through a ``(C, N, H, W)`` view of the padded gradient;
+* weight gradient: per chunk of input channels, one GEMM over all
+  ``N*OH*OW`` positions, again with the batch folded.
+
+The summation order is the BLAS library's, so results agree with a scalar
+nested-loop reference within the rounding-error bound of a length-``L``
+dot product (``L = C*kH*kW`` forward, ``N*OH*OW`` for the weight gradient,
+``C_out*kH*kW`` for the input gradient), not bit-for-bit; they are
 deterministic on one machine.
 """
 
@@ -156,8 +166,14 @@ class Tape:
 _TAPE_STACK = []
 
 
-def _record(op, inputs, data, **saved):
-    """Every op's result: ``data`` needing a gradient when any input does, taped if so."""
+def _record(op, inputs, data, branch=None, **saved):
+    """Every op's result: ``data``, needing a gradient when any input does.
+
+    The record is taped when a tape is active and some input needs a
+    gradient; only then is ``branch``, a function that computes the op's
+    branch decision, called and its result saved under ``"branch"``, so
+    an untaped op builds no mask or arg-max that nothing would read.
+    """
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = False
@@ -167,6 +183,8 @@ def _record(op, inputs, data, **saved):
             out.requires_grad = True
             break
     if _TAPE_STACK and out.requires_grad:
+        if branch is not None:
+            saved["branch"] = branch()
         _TAPE_STACK[-1].records.append(TapeRecord(op, tuple(inputs), out, saved))
     return out
 
@@ -278,11 +296,15 @@ def conv2d(x, weight, bias=None, spec=ConvSpec()):
     return _record("conv2d", inputs, out, spec=spec)
 
 
-# Upper bound on the bytes of one im2col or col2im buffer.  1 MiB holds
-# three output rows of the pyramid's 3x3 smooth at stride 8 of a 256^2
-# image (K = 2304, OW = 32, f32) and keeps a 2048^2 input from
-# materializing its whole column matrix (about 600 MB for that layer).
-_TILE_BYTES = 1 << 20
+# Upper bound on the bytes of one im2col or col2im buffer: N*K*rows*OW
+# elements for a forward or input-gradient tile of output rows, and
+# kH*kW*N*OH*OW per input channel for a weight-gradient chunk; a buffer
+# holds at least one row or channel.  2 MiB holds seven output rows of the
+# pyramid's 3x3 smooth at stride 8 (K = 2304, f32), both for one 256^2
+# image (OW = 32) and for a batch of two 128^2 images (OW = 16), and keeps
+# a 2048^2 input from materializing its whole column matrix (about 600 MB
+# for that layer).
+_TILE_BYTES = 2 << 20
 
 
 def _padded(xd, padding):
@@ -344,26 +366,29 @@ def _conv_backward(rec, grad_out):
     oh, ow = grad_out.shape[2:]
     k = c * kh * kw
     py, px = spec.padding
-    go = grad_out.reshape(n, c_out, oh * ow)
+    # grad_out with the batch folded into the columns: (C_out, N, OH*OW)
+    go = grad_out.reshape(n, c_out, oh * ow).transpose(1, 0, 2)
 
     grad_x = None
     if x.requires_grad:
-        # col2im: W^T @ grad_out per row tile, scattered one (ky, kx) tap at a time
+        # col2im: one W^T @ grad_out per row tile over columns (C_out, N*rows*OW),
+        # its (K, N*rows*OW) product scattered one (ky, kx) tap at a time
         gxp = np.zeros((n, c, h + 2 * py, w + 2 * px), xd.dtype)
+        gxc = gxp.transpose(1, 0, 2, 3)  # (C, N, H, W) view
         (sy, sx), (dy, dx) = spec.stride, spec.dilation
         wt = wd.reshape(c_out, k).T
         if grad_out.size:
             step = _tile(oh, n * k * ow * xd.itemsize)
             for row0 in range(0, oh, step):
                 rows = min(step, oh - row0)
-                g = np.matmul(wt, go[:, :, row0 * ow:(row0 + rows) * ow])
-                g = g.reshape(n, c, kh, kw, rows, ow)
+                g = np.matmul(wt, go[:, :, row0 * ow:(row0 + rows) * ow].reshape(c_out, -1))
+                g = g.reshape(c, kh, kw, n, rows, ow)
                 for ky in range(kh):
                     y0 = row0 * sy + ky * dy
                     ys = slice(y0, y0 + (rows - 1) * sy + 1, sy)
                     for kx in range(kw):
                         x0 = kx * dx
-                        gxp[:, :, ys, x0:x0 + (ow - 1) * sx + 1:sx] += g[:, :, ky, kx]
+                        gxc[:, :, ys, x0:x0 + (ow - 1) * sx + 1:sx] += g[:, ky, kx]
         grad_x = gxp[:, :, py:py + h, px:px + w]
 
     grad_w = None
@@ -372,7 +397,7 @@ def _conv_backward(rec, grad_out):
         grad_w = np.empty_like(wd) if grad_out.size else np.zeros_like(wd)
         if grad_out.size:
             xp = _padded(xd, spec.padding)
-            go2 = go.transpose(1, 0, 2).reshape(c_out, n * oh * ow)
+            go2 = go.reshape(c_out, n * oh * ow)
             gw2 = grad_w.reshape(c_out, k)
             taps = kh * kw
             step = _tile(c, taps * n * oh * ow * xd.itemsize)
@@ -436,7 +461,7 @@ def relu(x):
     # fmax sends NaN to 0, and adding +0 turns a -0 that fmax may keep into +0
     out = np.fmax(xd, zero)
     out += zero
-    return _record("relu", (x,), out, branch=xd > 0)
+    return _record("relu", (x,), out, branch=lambda: xd > 0)
 
 
 def _relu_backward(rec, grad_out):
@@ -470,7 +495,7 @@ def edge_magnitude(gx, gy):
     if gx.dims != gy.dims:
         raise ContractError(f"edge_magnitude dims differ: {gx.dims} vs {gy.dims}")
     mag = np.sqrt(gx.data * gx.data + gy.data * gy.data)
-    return _record("edge_magnitude", (gx, gy), mag, branch=mag > 0)
+    return _record("edge_magnitude", (gx, gy), mag, branch=lambda: mag > 0)
 
 
 def _edge_magnitude_backward(rec, grad_out):
@@ -510,7 +535,7 @@ def global_max_pool(x):
     flat = _spatial_flat(x, "global_max_pool")
     idx = flat.argmax(axis=2)  # first maximal position in scan order
     out_d = np.take_along_axis(flat, idx[:, :, None], axis=2).reshape(n, c, 1, 1)
-    return _record("global_max_pool", (x,), out_d, branch=idx)
+    return _record("global_max_pool", (x,), out_d, branch=lambda: idx)
 
 
 def _global_avg_pool_backward(rec, grad_out):
@@ -540,16 +565,26 @@ def down2_max(x):
     n, c, h, w = x.dims
     if h % 2 or w % 2:
         raise ShapeError(f"down2_max needs even spatial dims, got {h}x{w}")
-    blocks = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-    flat = blocks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-    idx = flat.argmax(axis=4)  # first maximal element per block, row-major
-    out_d = np.take_along_axis(flat, idx[..., None], axis=4)[..., 0]
-    return _record("down2_max", (x,), np.ascontiguousarray(out_d), branch=idx)
+    xd = x.data
+
+    def first_maximal():  # index of the first maximal element per block, row-major
+        blocks = xd.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return blocks.reshape(n, c, h // 2, w // 2, 4).argmax(axis=4)
+
+    # that element's value, with no arg-max: np.maximum returns a NaN operand,
+    # and its second operand on a tie, so passing the later element first keeps
+    # the earlier of +0 and -0 (of two NaNs it keeps the later)
+    top = np.maximum(xd[:, :, 0::2, 1::2], xd[:, :, 0::2, 0::2])
+    bottom = np.maximum(xd[:, :, 1::2, 1::2], xd[:, :, 1::2, 0::2])
+    return _record("down2_max", (x,), np.maximum(bottom, top, out=bottom),
+                   branch=first_maximal)
 
 
 def _up2_nearest_backward(rec, grad_out):
-    n, c, h2, w2 = grad_out.shape
-    g = grad_out.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+    # pairwise, (a00 + a01) + (a10 + a11): what numpy's reshape-sum over the
+    # two 2-axes gives, except at a grad_out 2 wide, which numpy sums in sequence
+    g = grad_out[:, :, 0::2, 0::2] + grad_out[:, :, 0::2, 1::2]
+    g += grad_out[:, :, 1::2, 0::2] + grad_out[:, :, 1::2, 1::2]
     return (g,)
 
 
@@ -654,31 +689,34 @@ def backward(tape, root):
     """Accumulate d(root)/d(leaf) into the grad buffer of every leaf reached.
 
     ``root`` must be a 1x1x1x1 scalar produced on ``tape``.  Records are
-    visited in exact reverse creation order; gradients accumulate across
-    repeated calls until the leaves are explicitly zeroed.
+    visited in exact reverse creation order.  A leaf -- a tensor that no
+    record on the tape produced -- takes each gradient into its buffer as
+    soon as a record delivers it, so no leaf gradient is held to the end;
+    gradients accumulate across repeated calls until the leaves are
+    explicitly zeroed.
     """
     if root.dims != (1, 1, 1, 1):
         raise ContractError(f"backward root must be a 1x1x1x1 scalar, got dims {root.dims}")
-    if not any(rec.output is root for rec in tape.records):
+    produced = {id(rec.output) for rec in tape.records}
+    if id(root) not in produced:
         raise UsageError("backward root was not produced on this tape")
 
-    # id(tensor) -> (tensor, gradient accumulated so far)
-    pending = {id(root): (root, np.ones((1, 1, 1, 1), root.dtype))}
+    # id(tensor produced on the tape) -> gradient accumulated so far
+    pending = {id(root): np.ones((1, 1, 1, 1), root.dtype)}
     for rec in reversed(tape.records):
-        entry = pending.pop(id(rec.output), None)
-        if entry is None:
+        grad_out = pending.pop(id(rec.output), None)
+        if grad_out is None:
             continue
-        grads = BACKWARD[rec.op](rec, entry[1])
+        grads = BACKWARD[rec.op](rec, grad_out)
         for inp, g in zip(rec.inputs, grads):
             if g is None or not inp.requires_grad:
                 continue
-            held = pending.get(id(inp))
-            # out-of-place: backward rules may alias one array to several
-            # inputs (add with no broadcast), so never mutate
-            pending[id(inp)] = (inp, g if held is None else held[1] + g)
-
-    # whatever was never popped had no producing record on this tape: a leaf
-    for leaf, g in pending.values():
-        if leaf.grad is None:
-            leaf.grad = np.zeros_like(leaf.data)
-        leaf.grad += g
+            if id(inp) in produced:
+                held = pending.get(id(inp))
+                # out-of-place: backward rules may alias one array to several
+                # inputs (add with no broadcast), so never mutate
+                pending[id(inp)] = g if held is None else held + g
+            else:
+                if inp.grad is None:
+                    inp.grad = np.zeros_like(inp.data)
+                inp.grad += g

@@ -51,6 +51,43 @@ def conv2d_reference(x, w, bias=None, stride=(1, 1), padding=(0, 0),
     return out
 
 
+def conv2d_backward_reference(x, w, grad_out, stride=(1, 1), padding=(0, 0), dilation=(1, 1)):
+    """Loop adjoint of :func:`conv2d_reference`: ``(grad_x, grad_w, grad_b)``.
+
+    Every output position ``(n, co, oy, ox)`` and tap ``(ky, kx)`` adds its
+    term into the three sums in that loop order, one rounding per term; the
+    input-channel axis is a vector, which rounds each element alike.  So a
+    grad_w or grad_b element sums ``N*OH*OW`` terms, and a grad_x element
+    at most ``C_out*kH*kW``.  Taps that land in the zero border are dropped.
+    """
+    x = np.asarray(x, np.float64)
+    w = np.asarray(w, np.float64)
+    g = np.asarray(grad_out, np.float64)
+    n, c, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    oh, ow = g.shape[2:]
+    sy, sx = stride
+    py, px = padding
+    dy, dx = dilation
+    xp = np.zeros((n, c, h + 2 * py, wd + 2 * px))
+    xp[:, :, py:py + h, px:px + wd] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape)
+    gb = np.zeros(co)
+    for ni in range(n):
+        for coi in range(co):
+            for oy in range(oh):
+                for ox in range(ow):
+                    go = float(g[ni, coi, oy, ox])
+                    gb[coi] += go
+                    for ky in range(kh):
+                        for kx in range(kw):
+                            iy, ix = oy * sy + ky * dy, ox * sx + kx * dx
+                            gxp[ni, :, iy, ix] += go * w[coi, :, ky, kx]
+                            gw[coi, :, ky, kx] += go * xp[ni, :, iy, ix]
+    return gxp[:, :, py:py + h, px:px + wd], gw, gb.reshape(1, co, 1, 1)
+
+
 def deep_sobel_reference(x):
     """Per-channel Sobel correlation, channel mean, as plain loops.
 

@@ -5,6 +5,7 @@ import pytest
 
 import edgeneck as en
 from edgeneck import gradcheck
+from edgeneck import tensor as tensor_core
 from edgeneck.errors import ContractError, UsageError
 from edgeneck.tensor import BACKWARD
 
@@ -114,6 +115,21 @@ def test_max_pool_routes_to_first_maximum():
         loss = en.sum_all(en.global_max_pool(x))
     en.backward(tape, loss)
     assert np.array_equal(x.grad[0, 0], [[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_branch_is_built_only_for_a_kept_record():
+    def refuse():
+        raise AssertionError("branch built for a record no tape keeps")
+
+    def saved():
+        return "built"
+
+    data = np.ones((1, 1, 1, 1))
+    tensor_core._record("relu", (en.Tensor(data, requires_grad=True),), data, branch=refuse)
+    with en.Tape() as tape:
+        tensor_core._record("relu", (en.Tensor(data),), data, branch=refuse)
+        tensor_core._record("relu", (en.Tensor(data, requires_grad=True),), data, branch=saved)
+    assert [rec.saved for rec in tape.records] == [{"branch": "built"}]
 
 
 def test_down2_max_ties_go_to_first_in_scan_order():

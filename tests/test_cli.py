@@ -144,6 +144,7 @@ class TestForward:
                 "l2": float(np.sqrt(np.sum(wide * wide)))}
         assert {k: repr(v) for k, v in tensor_stats(arr).items()} == \
             {k: repr(v) for k, v in want.items()}
+        assert arr.tobytes() == wide.astype(dtype).tobytes()  # squared in a copy, never in place
 
     def test_timings_lines_only_on_request(self, run_cli, small_cfg):
         _, plain, _ = run_cli("forward", "--config", small_cfg)

@@ -1,5 +1,7 @@
 """Forward contracts of the tensor core: shapes, values, errors."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ import edgeneck.tensor as tensor_core
 from edgeneck.errors import ContractError, DomainError, ShapeError
 from edgeneck.gradcheck import grad_check
 
-from reference import conv2d_reference, linear_reference
+from reference import conv2d_backward_reference, conv2d_reference, linear_reference
 
 
 def rng(seed=0):
@@ -160,6 +162,81 @@ class TestConv2d:
                             {"x": x, "w": w, "b": b})
         assert report.ok, report.format()
 
+    @pytest.mark.parametrize("case", CONV_CASES)
+    def test_backward_matches_the_loop_adjoint_within_rounding_bound(self, monkeypatch, case):
+        # each gradient element is a sum of L terms, each side within gamma(L) of the
+        # exact one (Higham 2002, 3.1): L = N*OH*OW for grad_w and grad_b, at most
+        # C_out*kH*kW for grad_x; at the default tile bound and the test_tile_seams ones
+        r = rng(45)
+        x = r.standard_normal((2,) + case["x"][1:])
+        w = r.standard_normal(case["w"])
+        b = r.standard_normal((1, case["w"][0], 1, 1))
+        spec = case["spec"]
+        c_out, _, kh, kw = w.shape
+        oh, ow = spec.out_hw(*x.shape[2:], kh, kw)
+        g = r.standard_normal((2, c_out, oh, ow))
+        args = (spec.stride, spec.padding, spec.dilation)
+        want = conv2d_backward_reference(x, w, g, *args)
+        scale = conv2d_backward_reference(np.abs(x), np.abs(w), np.abs(g), *args)
+        lengths = (c_out * kh * kw, 2 * oh * ow, 2 * oh * ow)
+        for tile_bytes in (tensor_core._TILE_BYTES, 1, 2 * 1728):
+            monkeypatch.setattr(tensor_core, "_TILE_BYTES", tile_bytes)
+            leaves = [en.Tensor(a, requires_grad=True) for a in (x, w, b)]
+            with en.Tape() as tape:
+                loss = en.sum_all(en.mul(en.conv2d(*leaves, spec), en.Tensor(g)))
+            en.backward(tape, loss)
+            for name, t, ref, mag, n_terms in zip("xwb", leaves, want, scale, lengths):
+                assert np.all(np.abs(t.grad - ref) <= 2 * gamma(n_terms + 1) * mag), \
+                    (name, tile_bytes)
+
+    # On the test_tile_seams case a forward or grad_x row is 1728 bytes of columns and a
+    # grad_w channel 2880: 1 byte gives one unit per buffer, 2 * 1728 two rows and one
+    # channel, 6000 three rows and two channels.
+    @pytest.mark.parametrize("tile_bytes", [1, 2 * 1728, 6000])
+    def test_every_column_buffer_keeps_the_tile_bound(self, monkeypatch, tile_bytes):
+        monkeypatch.setattr(tensor_core, "_TILE_BYTES", tile_bytes)
+        r = rng(43)
+        x = r.standard_normal((2, 3, 7, 6))
+        w = r.standard_normal((4, 3, 3, 2))
+        spec = en.ConvSpec(stride=(2, 1), padding=(2, 1), dilation=(1, 2))
+        n, k = 2, 3 * 3 * 2
+        oh, ow = spec.out_hw(7, 6, 3, 2)
+        # every forward and grad_w column buffer copies one _taps view; every grad_x
+        # col2im buffer is the product of one matmul
+        built = []
+        taps, matmul = tensor_core._taps, np.matmul
+
+        def recorded_taps(*args):
+            view = taps(*args)
+            built.append(view.nbytes)
+            return view
+
+        def recorded_matmul(*args, **kwargs):
+            product = matmul(*args, **kwargs)
+            built.append(product.nbytes)
+            return product
+
+        def check(unit):
+            # each buffer within the bound or one unit, and together all N*K*OH*OW columns
+            assert built and max(built) <= max(tile_bytes, unit), built
+            assert sum(built) == n * k * oh * ow * x.itemsize, built
+            built.clear()
+
+        monkeypatch.setattr(tensor_core, "_taps", recorded_taps)
+        en.conv2d(en.Tensor(x), en.Tensor(w), spec=spec)
+        check(unit=n * k * ow * x.itemsize)
+        for needs_x in (False, True):
+            xt, wt = en.Tensor(x, requires_grad=needs_x), en.Tensor(w, requires_grad=not needs_x)
+            with en.Tape() as tape:
+                loss = en.sum_all(en.conv2d(xt, wt, spec=spec))
+            built.clear()
+            if needs_x:
+                monkeypatch.setattr(tensor_core, "_taps", taps)
+                monkeypatch.setattr(np, "matmul", recorded_matmul)
+            en.backward(tape, loss)
+            monkeypatch.setattr(np, "matmul", matmul)
+            check(unit=n * k * ow * x.itemsize if needs_x else k // 3 * n * oh * ow * x.itemsize)
+
     def test_zero_output_dim_yields_empty(self):
         y = en.conv2d(en.Tensor(np.ones((1, 1, 3, 4), np.float32)),
                       en.Tensor(np.ones((2, 1, 4, 4), np.float32)))
@@ -283,6 +360,29 @@ class TestPoolAndResample:
         x = en.Tensor(rng(5).standard_normal((2, 3, 4, 6)))
         back = en.down2_max(en.up2_nearest(x))
         assert np.array_equal(back.data, x.data)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_down2_max_gives_the_first_maximal_element(self, dtype):
+        # every 2x2 block over +-0, +-inf, NaN and ties: the strided max must give the
+        # element the arg-max picks, which a tape saves and the gradient follows; laid
+        # out wide (long vector loops) and square (short loops with tails)
+        values = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0]
+        blocks = np.asarray(list(itertools.product(values, repeat=4)), dtype)  # 7^4 blocks
+        ties = rng(6).integers(-1, 2, (4, 1000)).astype(dtype) * dtype(0.5)
+        ties[rng(7).random(ties.shape) < 0.3] = -0.0
+        for quads in (blocks.T, ties):
+            count = quads.shape[1]
+            for rows in (1, 7 if count % 7 == 0 else 8):
+                grid = quads.reshape(2, 2, rows, count // rows)
+                flat = np.ascontiguousarray(grid.transpose(2, 3, 0, 1)).reshape(rows, -1, 4)
+                want = np.take_along_axis(flat, flat.argmax(axis=2)[..., None], axis=2)
+                x = np.ascontiguousarray(grid.transpose(2, 0, 3, 1)).reshape(
+                    1, 1, 2 * rows, 2 * (count // rows))
+                with en.Tape() as tape:
+                    taped = en.down2_max(en.Tensor(x, requires_grad=True)).data
+                assert np.array_equal(tape.records[-1].saved["branch"][0, 0], flat.argmax(axis=2))
+                for got in (en.down2_max(en.Tensor(x)).data, taped):
+                    assert got.tobytes() == want.reshape(got.shape).tobytes()
 
     def test_down2_odd_dims_is_shape_error(self):
         with pytest.raises(ShapeError):
