@@ -6,17 +6,21 @@
 whole input.  The step ``EPS = 1e-5`` balances round-off ``u_mach |f| /
 eps`` against truncation ``eps^2 |f'''| / 6`` (Nocedal and Wright,
 *Numerical Optimization*, section 8.1), keeping both far below ``TOL``.
-Each evaluation runs on its own tape; a probe whose two tapes hold
-different ``branch`` entries (it straddles a relu kink or a pooling
-arg-max flip) is skipped and counted.  An input left with no verified
-probe fails the check: nothing was measured about its gradient.  A probe
-whose analytic or numeric derivative is not finite scores an infinite
-error, so a NaN gradient fails too.  Ops are pure and no block picks its
-op calls by data values, so a probe evaluation, given a fresh tensor for
-the perturbed input, repeats the base forward's calls in order; its k-th
-call reuses the k-th result when the arguments are the same tensors
-(each probe evaluation's tape replays the base forward's tape), so it
-computes only what the perturbed input reaches.
+The target runs once, on a tape that lists every op call with its
+arguments and output.  A probe evaluation recomputes only the probed
+input's cone: the listed calls that the input reaches, in their listed
+order, followed by tensor identity through positional and keyword
+arguments and the elements of a list argument (``concat_channels``).  It
+gives them the perturbed tensor and the recomputed outputs in place of the
+base ones, and every other argument is the base forward's own tensor.  That
+equals re-running the target because of two rules of the contract: no
+block picks its op calls by data values, and a target computes only
+through ops.  Each evaluation runs on its own tape; a probe whose two
+evaluations record different ``branch`` entries (it straddles a relu kink
+or a pooling arg-max flip) is skipped and counted.  An input left with no
+verified probe fails the check: nothing was measured about its gradient.
+A probe whose analytic or numeric derivative is not finite scores an
+infinite error, so a NaN gradient fails too.
 """
 
 from __future__ import annotations
@@ -94,20 +98,54 @@ def _rel_err(analytic, numeric):
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 
-def _central(fn, args, i, step, base):
-    """Central difference of ``fn`` along the unit vector ``step`` (dims of ``args[i]``).
+def _tensors(arg):
+    """What an op argument passes: the elements of a list, else the argument itself."""
+    return arg if isinstance(arg, (list, tuple)) else (arg,)
 
-    Each evaluation gets a fresh tensor in slot ``i`` and a tape replaying ``base``.
-    Returns ``None`` when the two evaluations take different branches
-    (the probe straddles a kink), so the quotient would be meaningless.
+
+def _cone(calls, arg_ids, leaf):
+    """The listed ``calls`` that ``leaf`` reaches, in order, as ``(op, args, kwargs, swaps, key)``.
+
+    ``arg_ids`` holds each call's set of argument ids.  ``swaps`` pairs the
+    position or keyword of each argument that is a reached tensor with its
+    id, and of each list that holds one with ``None``; ``key`` is the id of
+    the call's output.
     """
-    probe = list(args)
+    reached = {id(leaf)}
+    cone = []
+    for ((op, args, kwargs), out), ids in zip(calls, arg_ids):
+        if reached.isdisjoint(ids):
+            continue
+        swaps = [(where, id(arg) if isinstance(arg, Tensor) else None)
+                 for where, arg in (*enumerate(args), *kwargs.items())
+                 if not reached.isdisjoint(map(id, _tensors(arg)))]
+        reached.add(id(out))
+        cone.append((op, args, kwargs, swaps, id(out)))
+    return cone
+
+
+def _central(cone, leaf, step, out):
+    """Central difference of ``out`` along the unit vector ``step`` (dims of ``leaf``).
+
+    Each evaluation gives ``leaf``'s cone a fresh tensor in its place and
+    recomputes it on a tape of its own; ``out`` is read recomputed, or as
+    it is when the cone misses it.  Returns ``None`` when the two
+    evaluations take different branches (the probe straddles a kink), so
+    the quotient would be meaningless.
+    """
     values = []
     branches = []
-    for sign in (EPS, -EPS):
-        probe[i] = Tensor(args[i].data + sign * step, requires_grad=True)
-        with Tape(replay=base) as tape:
-            values.append(fn(*probe).item())
+    move = EPS * step
+    for data in (leaf.data + move, leaf.data - move):
+        new = {id(leaf): Tensor(data, requires_grad=True)}
+        with Tape() as tape:
+            for op, args, kwargs, swaps, key in cone:
+                args, kwargs = list(args), dict(kwargs)
+                for where, src in swaps:
+                    box = kwargs if isinstance(where, str) else args
+                    box[where] = new[src] if src else [new.get(id(t), t) for t in box[where]]
+                new[key] = op(*args, **kwargs)
+        values.append(new.get(id(out), out).item())
         branches.append([rec.saved["branch"] for rec in tape.records if "branch" in rec.saved])
     if not all(map(np.array_equal, *branches)):
         return None
@@ -135,6 +173,11 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     always runs in float64 regardless of the input dtype.  An input that
     ``fn`` ignores has a zero analytic gradient, even when it ignores all.
 
+    ``fn`` is called once; each probe recomputes only the op calls its
+    input reaches.  So ``fn`` must keep two rules: it picks no op call by
+    data values, and it computes only through ops (a value it derives from
+    a tensor's ``data`` outside an op would not be recomputed).
+
     ``max_coords`` caps the verified probes per input: the row-major flat
     indices of its coordinates are shuffled by ``rng.permutation`` (``rng``
     seeded to 0 when omitted) and a probe the kink guard skips is replaced
@@ -151,17 +194,19 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     for label, value in inputs.items():
         data = value.data if isinstance(value, Tensor) else np.asarray(value)
         leaves[label] = Tensor(data.astype(np.float64), requires_grad=True)
-    args = list(leaves.values())
 
     with Tape() as tape:
-        out = fn(*args)
+        out = fn(*leaves.values())
     if out.dims != (1, 1, 1, 1):
         raise ContractError(f"grad_check target must return a 1x1x1x1 scalar, got {out.dims}")
     if out.requires_grad:  # else no input reaches it: every analytic gradient stays zero
         backward(tape, out)
 
+    arg_ids = [{id(t) for arg in (*args, *kwargs.values()) for t in _tensors(arg)}
+               for (_, args, kwargs), _ in tape.calls]
     entries = []
-    for i, (label, leaf) in enumerate(leaves.items()):
+    for label, leaf in leaves.items():
+        cone = _cone(tape.calls, arg_ids, leaf)
         analytic = np.zeros(leaf.dims) if leaf.grad is None else leaf.grad
         target = max_coords or (1 if directional else leaf.data.size)
         steps = _steps(leaf.dims, rng, max_coords is not None, directional)
@@ -171,7 +216,7 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
         worst_coord = None
         # skipped probes draw replacements, within a bounded budget
         for step, coord in islice(steps, max(6 * target, target + 12)):
-            numeric = _central(fn, args, i, step, tape)
+            numeric = _central(cone, leaf, step, out)
             if numeric is None:
                 skipped += 1
                 continue

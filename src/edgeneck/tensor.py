@@ -4,11 +4,9 @@ Everything in this library moves through one currency: a contiguous
 row-major ``(N, C, H, W)`` float buffer.  All ops are pure functions over
 immutable tensors.  While a :class:`Tape` is active, ops whose result
 depends on a gradient-carrying tensor append a record; :func:`backward`
-replays those records in exact reverse creation order and accumulates
+walks those records in exact reverse creation order and accumulates
 ``d(root)/d(leaf)`` into the ``grad`` of every leaf it reaches, made on first reach.
-The innermost tape also lists every op call; a tape that replays another
-returns that tape's k-th output for its own k-th call when the op and
-arguments are the same, tensors matched by identity, instead of computing it.
+Every active tape also lists every op call with its arguments and output.
 
 Convolution uses the cross-correlation convention (no kernel flip) and is
 lowered to im2col plus matrix multiplies (GEMM), forward and backward.
@@ -136,19 +134,16 @@ class TapeRecord:
 class Tape:
     """Ordered op record for one execution context.
 
-    Use as a context manager.  While it is the innermost active tape, every
-    op call is listed in ``calls`` as ``((op, args, kwargs), output, record)``
-    and every op whose output depends on a gradient-carrying tensor appends
-    a record.  A tape made with ``replay=base`` returns ``base``'s k-th
-    output for its own k-th call when the two calls are equal (a tensor
-    equals only itself) and appends the stored record; otherwise it
-    computes anew.
+    Use as a context manager.  While it is active, every op call, made on
+    it or on a tape opened inside it, is listed in ``calls`` as
+    ``((op, args, kwargs), output)``.  While it is the innermost active
+    tape, every op whose output depends on a gradient-carrying tensor
+    appends a record.
     """
 
-    def __init__(self, replay=None):
+    def __init__(self):
         self.records = []
         self.calls = []
-        self.replay = () if replay is None else replay.calls
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -189,25 +184,16 @@ def _record(op, inputs, data, branch=None, **saved):
     return out
 
 
-def _reusable(op):
-    """``op``, listed on the innermost tape and reused from the tape that one replays."""
+def _listed(op):
+    """``op``, each call listed on every active tape."""
     @functools.wraps(op)
     def call(*args, **kwargs):
-        if not _TAPE_STACK:
-            return op(*args, **kwargs)
-        tape = _TAPE_STACK[-1]
-        k = len(tape.calls)
-        key = (op, args, kwargs)
-        if k < len(tape.replay) and tape.replay[k][0] == key:
-            entry = tape.replay[k]
-            if entry[2] is not None:
-                tape.records.append(entry[2])
-        else:
-            out = op(*args, **kwargs)
-            records = tape.records
-            entry = (key, out, records[-1] if records and records[-1].output is out else None)
-        tape.calls.append(entry)
-        return entry[1]
+        out = op(*args, **kwargs)
+        if _TAPE_STACK:
+            entry = ((op, args, kwargs), out)
+            for tape in _TAPE_STACK:
+                tape.calls.append(entry)
+        return out
     return call
 
 
@@ -271,7 +257,7 @@ def _reduce_broadcast(grad, dims):
 # Convolution
 # ---------------------------------------------------------------------------
 
-@_reusable
+@_listed
 def conv2d(x, weight, bias=None, spec=ConvSpec()):
     """Cross-correlate ``x`` with ``weight`` under ``spec``.
 
@@ -425,7 +411,7 @@ def _check_broadcast(a_dims, b_dims):
             )
 
 
-@_reusable
+@_listed
 def add(a, b):
     _same_dtype(a, b)
     _check_broadcast(a.dims, b.dims)
@@ -439,7 +425,7 @@ def _add_backward(rec, grad_out):
     return ga, gb
 
 
-@_reusable
+@_listed
 def mul(a, b):
     _same_dtype(a, b)
     _check_broadcast(a.dims, b.dims)
@@ -453,7 +439,7 @@ def _mul_backward(rec, grad_out):
     return ga, gb
 
 
-@_reusable
+@_listed
 def relu(x):
     xd = x.data
     zero = xd.dtype.type(0)
@@ -468,7 +454,7 @@ def _relu_backward(rec, grad_out):
     return (grad_out * rec.saved["branch"],)
 
 
-@_reusable
+@_listed
 def sigmoid(x):
     xd = x.data
     # exp of a non-positive argument only, so large |x| cannot overflow
@@ -483,7 +469,7 @@ def _sigmoid_backward(rec, grad_out):
     return (grad_out * s * (1.0 - s),)
 
 
-@_reusable
+@_listed
 def edge_magnitude(gx, gy):
     """Pointwise sqrt(gx^2 + gy^2) with a zero gradient at exactly (0, 0).
 
@@ -520,7 +506,7 @@ def _spatial_flat(x, op):
     return x.data.reshape(n, c, h * w)
 
 
-@_reusable
+@_listed
 def global_avg_pool(x):
     """Average over all H*W positions per sample and channel, to N x C x 1 x 1."""
     n, c = x.dims[:2]
@@ -528,7 +514,7 @@ def global_avg_pool(x):
     return _record("global_avg_pool", (x,), out_d.astype(x.dtype, copy=False))
 
 
-@_reusable
+@_listed
 def global_max_pool(x):
     """Maximum over all H*W positions per sample and channel, to N x C x 1 x 1."""
     n, c = x.dims[:2]
@@ -553,13 +539,13 @@ def _global_max_pool_backward(rec, grad_out):
     return (flat.reshape(n, c, h, w),)
 
 
-@_reusable
+@_listed
 def up2_nearest(x):
     """Double H and W by replicating each pixel into a 2x2 block."""
     return _record("up2_nearest", (x,), np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3))
 
 
-@_reusable
+@_listed
 def down2_max(x):
     """Halve H and W by a 2x2, stride-2 max."""
     n, c, h, w = x.dims
@@ -597,7 +583,7 @@ def _down2_max_backward(rec, grad_out):
     return (np.ascontiguousarray(g),)
 
 
-@_reusable
+@_listed
 def replicate_pad(x):
     """Grow H and W by one pixel on each side, repeating the border values.
 
@@ -627,7 +613,7 @@ def _replicate_pad_backward(rec, grad_out):
     return (g,)
 
 
-@_reusable
+@_listed
 def concat_channels(xs):
     """Concatenate along the channel axis, preserving input order."""
     xs = tuple(xs)
@@ -653,7 +639,7 @@ def _concat_channels_backward(rec, grad_out):
     return tuple(grads)
 
 
-@_reusable
+@_listed
 def sum_all(x):
     """Sum every element into a 1 x 1 x 1 x 1 scalar tensor."""
     return _record("sum_all", (x,), x.data.sum(dtype=x.dtype).reshape(1, 1, 1, 1))

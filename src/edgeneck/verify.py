@@ -171,6 +171,15 @@ def checks_for_scope(scope, seed=1):
     return checks
 
 
+def _worst(report):
+    """`` worst=<input>@<coord>``, or ``@direction``, when an error fails the check."""
+    if report.max_rel_err <= report.tol:
+        return ""
+    e = max(report.entries, key=lambda entry: entry.max_rel_err)
+    at = "direction" if e.worst_coord is None else f"({','.join(map(str, e.worst_coord))})"
+    return f" worst={e.label}@{at}"
+
+
 def run_checks(checks, emit=None):
     """Run checks, emit one line each; returns True when all pass."""
     all_ok = True
@@ -181,5 +190,6 @@ def run_checks(checks, emit=None):
         if emit:
             unprobed = f" unprobed={','.join(report.unprobed)}" if report.unprobed else ""
             emit(f"{label}: {status} probed={report.probed} skipped={report.skipped} "
-                 f"max_rel_err={report.max_rel_err:.3e} tol={report.tol:.1e}{unprobed}")
+                 f"max_rel_err={report.max_rel_err:.3e} tol={report.tol:.1e}{unprobed}"
+                 f"{_worst(report)}")
     return all_ok

@@ -178,62 +178,43 @@ def test_backward_registry_is_patchable(monkeypatch):
     assert not x.grad.any()
 
 
-def _two_convs(x, w1, w2):
-    h = en.conv2d(x, w1)
-    y = en.conv2d(h, w2)
-    return [h, y, en.sum_all(y)]
-
-
-def test_a_replaying_tape_returns_the_base_outputs_and_records(conv_kernels):
-    """Equal calls reuse the base tape's outputs and records; a fresh tensor computes anew."""
-    x, w1, w2 = leaf((1, 2, 4, 4), 12), leaf((3, 2, 3, 3), 13), leaf((2, 3, 1, 1), 14)
-    with en.Tape() as base:
-        base_outs = _two_convs(x, w1, w2)
-    en.backward(base, base_outs[-1])
-    base_grads = [t.grad.copy() for t in (x, w1, w2)]
-    for t in (x, w1, w2):
-        t.zero_grad()
-    assert len(base.calls) == 3
-
-    conv_kernels.clear()
-    with en.Tape(replay=base) as tape:
-        outs = _two_convs(x, w1, w2)
-    assert conv_kernels == []
-    assert all(out is base_out for out, base_out in zip(outs, base_outs))
-    assert all(rec is base_rec for rec, base_rec in zip(tape.records, base.records))
-    assert len(tape.records) == len(base.records) == 3
-    en.backward(tape, outs[-1])
-    for t, g in zip((x, w1, w2), base_grads):
-        assert t.grad.tobytes() == g.tobytes()
-
-    fresh = en.Tensor(x.data.copy(), requires_grad=True)
-    with en.Tape(replay=base) as tape:
-        outs = _two_convs(fresh, w1, w2)
-    assert len(conv_kernels) == 2
-    assert not any(out is base_out for out, base_out in zip(outs, base_outs))
-    assert all(np.array_equal(out.data, base_out.data) for out, base_out in zip(outs, base_outs))
-
-
 _GUIDE_IMAGE = en.Tensor(rng(15).standard_normal((1, 1, 4, 4)))
 _GUIDE_KERNEL = en.Tensor(np.full((1, 1, 3, 3), 0.25))
 
 
 def _inner_taped(x, w1, w2):
-    # the constant guide is built on an inner tape, which replays nothing
+    # the constant guide is built on an inner tape
     with en.Tape():
         guide = en.sigmoid(en.conv2d(_GUIDE_IMAGE, _GUIDE_KERNEL))
     return en.sum_all(en.mul(en.conv2d(en.conv2d(x, w1), w2), guide))
 
 
-def test_calls_on_an_inner_tape_are_recomputed(monkeypatch, conv_kernels):
-    """An inner tape recomputes its calls; the outer calls stay aligned and reused."""
+def test_calls_on_an_inner_tape_are_recomputed(conv_kernels, rerun_probes):
+    """A call on an inner tape is listed on the check's tape too: reused if no input reaches it."""
     inputs = {"x": rng(16).standard_normal((1, 2, 4, 4)),
               "w1": rng(17).standard_normal((3, 2, 3, 3)),
               "w2": rng(18).standard_normal((2, 3, 1, 1))}
     report = gradcheck.grad_check(_inner_taped, inputs)
     assert report.ok
-    # the base forward computes all three convs; each probe evaluation recomputes
-    # the guide's, plus two for x and w1 and one for w2
-    assert len(conv_kernels) == 3 + 2 * (3 * 32 + 3 * 54 + 2 * 6)
-    monkeypatch.setattr(gradcheck, "Tape", lambda replay=None: en.Tape())  # replay nothing
+    # the base forward computes all three convs; each probe evaluation
+    # computes two for x and w1 and one for w2, and reuses the guide's
+    assert len(conv_kernels) == 3 + 2 * (2 * 32 + 2 * 54 + 1 * 6)
+    rerun_probes()
     assert gradcheck.grad_check(_inner_taped, inputs).entries == report.entries
+
+
+def test_a_leaf_dependent_call_on_an_inner_tape_is_recomputed(rerun_probes):
+    """A probe recomputes what an inner tape computed from its input, as a full re-run does."""
+    def hidden(x, w):
+        with en.Tape():  # backward on the check's tape cannot see this conv
+            h = en.conv2d(x, w)
+        return en.sum_all(en.mul(h, h))
+
+    inputs = {"x": rng(22).standard_normal((1, 2, 4, 4)),
+              "w": rng(23).standard_normal((3, 2, 3, 3))}
+    report = gradcheck.grad_check(hidden, inputs)
+    # the analytic gradient misses the conv, the central difference does not
+    assert [e.max_rel_err > 0.5 for e in report.entries] == [True, True]
+    assert not report.ok
+    rerun_probes()
+    assert gradcheck.grad_check(hidden, inputs).entries == report.entries

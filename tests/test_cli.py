@@ -216,6 +216,24 @@ class TestGradcheck:
         assert "op.mul.broadcast: FAILED" in out
         assert "gradcheck scope=ops: FAILURES" in out
 
+    def test_failed_line_names_the_worst_coordinate(self, run_cli, monkeypatch):
+        original = BACKWARD["global_avg_pool"]
+        _, plain, _ = run_cli("gradcheck", "--scope", "ops")
+        monkeypatch.setitem(BACKWARD, "global_avg_pool",
+                            lambda rec, g: (original(rec, g)[0] * 1.5,))
+        [run] = [run for label, run in verify.op_checks() if label == "op.global_avg_pool"]
+        [entry] = run().entries
+        code, out, _ = run_cli("gradcheck", "--scope", "ops")
+        assert code == 1
+        [failed] = [ln for ln in out.splitlines() if ": FAILED " in ln]
+        assert failed.startswith("op.global_avg_pool: FAILED ")
+        assert failed.endswith(" worst=x@({},{},{},{})".format(*entry.worst_coord))
+        # passing lines are those of a clean run, byte for byte
+        ok_lines = [ln for ln in out.splitlines() if ": ok " in ln]
+        assert len(ok_lines) == len(verify.op_checks()) - 1
+        assert all(ln in plain.splitlines() for ln in ok_lines)
+        assert "worst=" not in plain
+
 
 class TestWeights:
     def test_dump_then_verify(self, run_cli, small_cfg, tmp_path):

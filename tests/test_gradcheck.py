@@ -77,6 +77,22 @@ def test_edge_magnitude_zero_crossing_is_guarded():
     assert lines[0].startswith("op.edge: FAILED") and lines[0].endswith(" unprobed=gx")
 
 
+def test_a_failed_directional_check_names_its_worst_input(monkeypatch):
+    original = BACKWARD["mul"]
+    monkeypatch.setitem(BACKWARD, "mul", lambda rec, g: (original(rec, g)[0] * 1.5, None))
+    inputs = {"x": rng(24).standard_normal((1, 1, 2, 2)),
+              "y": rng(25).standard_normal((1, 1, 2, 2))}
+
+    def check():
+        return grad_check(lambda x, y: en.sum_all(en.mul(x, y)), inputs, rng=rng(26),
+                          directional=True)
+
+    lines = []
+    run_checks([("pipeline.mul", check)], emit=lines.append)
+    assert lines[0].startswith("pipeline.mul: FAILED ")
+    assert lines[0].endswith(" worst=y@direction")  # y's gradient was dropped
+
+
 def test_directional_kink_guard_draws_replacements_within_budget():
     # every coordinate sits EPS / 10 above the relu kink: almost every direction straddles it
     report = grad_check(lambda t: en.sum_all(en.relu(t)), {"x": np.full((1, 2, 2, 2), EPS / 10)},
@@ -104,26 +120,39 @@ def test_constant_target_reports_zero_gradients():
         ("x", 4, 0, 0.0), ("y", 6, 0, 0.0)]
 
 
+def _noting_square(seen):
+    """``t * t`` as an op that notes ``(label, t.data)`` at every call: what a probe feeds it."""
+    @tensor_core._listed
+    def square(label, t):
+        seen.append((label, t.data.copy()))
+        return tensor_core._record("mul", (t, t), t.data * t.data)
+    return square
+
+
 @pytest.mark.parametrize("seed", [3, 11])
 def test_probe_draw_order_is_pinned(seed):
     """Probed coordinates follow ``np.argwhere(everywhere)[rng.permutation(n)]``, input by input."""
     r = rng(seed)
-    a0, b0 = r.standard_normal((1, 2, 3, 4)), r.standard_normal((2, 1, 3, 2))
-    perturbed = []
+    start = {"a": r.standard_normal((1, 2, 3, 4)), "b": r.standard_normal((2, 1, 3, 2))}
+    seen = []
+    square = _noting_square(seen)
 
     def fn(a, b):
-        # the one coordinate that differs from the check point is the one being probed
-        for label, leaf, start in (("a", a, a0), ("b", b, b0)):
-            perturbed.extend((label, tuple(c)) for c in np.argwhere(leaf.data != start))
-        return en.add(en.sum_all(en.mul(a, a)), en.sum_all(en.mul(b, b)))
+        return en.add(en.sum_all(square("a", a)), en.sum_all(square("b", b)))
 
-    grad_check(fn, {"a": a0, "b": b0}, rng=rng(seed), max_coords=5)
+    grad_check(fn, start, rng=rng(seed), max_coords=5)
+    assert [label for label, _ in seen[:2]] == ["a", "b"]  # the taped forward
+    assert all(np.array_equal(data, start[label]) for label, data in seen[:2])
+    # the one coordinate that differs from the check point is the one being probed
+    perturbed = [(label, tuple(c)) for label, data in seen[2:]
+                 for c in np.argwhere(data != start[label])]
+    assert len(perturbed) == len(seen) - 2
     draw = rng(seed)
     want = []
-    for label, start in (("a", a0), ("b", b0)):
-        everywhere = np.ones(start.shape, bool)
+    for label, data in start.items():
+        everywhere = np.ones(data.shape, bool)
         want += [(label, tuple(c))
-                 for c in np.argwhere(everywhere)[draw.permutation(start.size)][:5]]
+                 for c in np.argwhere(everywhere)[draw.permutation(data.size)][:5]]
     assert perturbed[::2] == perturbed[1::2] == want  # one +eps and one -eps call per probe
 
 
@@ -131,11 +160,11 @@ def test_directional_probe_moves_each_input_along_one_unit_direction():
     """Directions are ``rng.standard_normal(dims)`` normalised, drawn input by input."""
     r = rng(12)
     a0, b0 = r.standard_normal((1, 2, 3, 4)), r.standard_normal((2, 1, 3, 2))
-    moves = []
+    seen = []
+    square = _noting_square(seen)
 
     def fn(a, b):
-        moves.append((a.data - a0, b.data - b0))
-        return en.add(en.sum_all(en.mul(a, a)), en.sum_all(en.sigmoid(b)))
+        return en.add(en.sum_all(square("a", a)), en.sum_all(en.sigmoid(square("b", b))))
 
     report = grad_check(fn, {"a": a0, "b": b0}, rng=rng(13), directional=True)
     assert report.ok
@@ -143,11 +172,12 @@ def test_directional_probe_moves_each_input_along_one_unit_direction():
     draw = rng(13)
     u = [draw.standard_normal(d) for d in (a0.shape, b0.shape)]
     u = [v / np.linalg.norm(v) for v in u]
-    assert len(moves) == 5  # the taped forward, then +eps and -eps per input
-    assert not moves[0][0].any() and not moves[0][1].any()
-    for (da, db), want_a, want_b in zip(moves[1:], (u[0], -u[0], 0, 0), (0, 0, u[1], -u[1])):
-        np.testing.assert_allclose(da, EPS * np.asarray(want_a), rtol=1e-9, atol=1e-20)
-        np.testing.assert_allclose(db, EPS * np.asarray(want_b), rtol=1e-9, atol=1e-20)
+    # the taped forward notes both inputs, then each evaluation only the input it moves
+    assert [label for label, _ in seen] == ["a", "b", "a", "a", "b", "b"]
+    starts = {"a": a0, "b": b0}
+    for (label, data), want in zip(seen, (0, 0, u[0], -u[0], u[1], -u[1])):
+        np.testing.assert_allclose(data - starts[label], EPS * np.asarray(want),
+                                   rtol=1e-9, atol=1e-20)
 
 
 def test_probes_leave_an_enclosing_tape_untouched():
@@ -214,8 +244,7 @@ def test_probes_recompute_only_the_convs_their_input_reaches(conv_kernels):
 
 
 def _constant_conv_loss(x, scalar=True):
-    # a conv of two constants, built anew on each call so a probe matches neither
-    # by identity, beside a conv of the input
+    # a conv of two constants, built anew on each call, beside a conv of the input
     k = en.Tensor(np.full((1, 1, 3, 3), 0.5))
     out = en.mul(en.conv2d(x, k), en.conv2d(en.Tensor(np.ones((1, 1, 4, 4))), k))
     return en.sum_all(out) if scalar else out
@@ -240,41 +269,70 @@ def test_reuse_ends_with_the_check(conv_kernels):
     assert_plain_forward()
 
 
-def test_reports_are_unchanged_with_reuse_defeated(monkeypatch, conv_kernels):
-    """Every op computed anew at every probe gives the same entries, bit for bit."""
-    checks = [c for c in block_checks(1) if c[0] == "block.wide_field"] + pipeline_check(1)
-    conv_kernels.clear()
-    reused = [run().entries for _, run in checks]
-    computed = len(conv_kernels)
-    conv_kernels.clear()
-    monkeypatch.setattr(gradcheck, "Tape", lambda replay=None: en.Tape())  # replay nothing
-    assert [run().entries for _, run in checks] == reused
-    assert len(conv_kernels) > 2 * computed
+def _listed_in_concat(x, w, y):
+    # x reaches the loss only as an element of concat_channels's list
+    cat = en.concat_channels([y, en.conv2d(x, w)])
+    return en.sum_all(en.mul(cat, cat))
+
+
+def _concat_inputs():
+    r = rng(19)
+    return {"x": r.standard_normal((1, 2, 4, 4)), "w": r.standard_normal((3, 2, 3, 3)),
+            "y": r.standard_normal((1, 1, 2, 2))}
+
+
+def test_a_list_element_the_input_reaches_is_recomputed(conv_kernels, rerun_probes):
+    """Probes of x and w recompute the conv that concat_channels takes in its list."""
+    report = gradcheck.grad_check(_listed_in_concat, _concat_inputs())
+    assert report.ok
+    assert [(e.probed, e.skipped) for e in report.entries] == [(32, 0), (54, 0), (4, 0)]
+    assert len(conv_kernels) == 1 + 2 * (32 + 54)  # y's probes reuse the conv
+    rerun_probes()
+    assert gradcheck.grad_check(_listed_in_concat, _concat_inputs()).entries == report.entries
+
+
+def _conv_by_keyword(x, w, b):
+    return en.sum_all(en.relu(en.conv2d(x, weight=w, bias=b)))
+
+
+def test_a_tensor_passed_by_keyword_is_recomputed(conv_kernels, rerun_probes):
+    """A probe of a tensor passed by keyword gives the conv its fresh tensor under that keyword."""
+    r = rng(20)
+    inputs = {"x": r.standard_normal((1, 2, 4, 4)), "w": r.standard_normal((3, 2, 3, 3)),
+              "b": r.standard_normal((1, 3, 1, 1))}
+    report = gradcheck.grad_check(_conv_by_keyword, inputs)
+    assert report.ok
+    assert [(e.probed, e.skipped) for e in report.entries] == [(32, 0), (54, 0), (3, 0)]
+    assert len(conv_kernels) == 1 + 2 * (32 + 54 + 3)
+    rerun_probes()
+    assert gradcheck.grad_check(_conv_by_keyword, inputs).entries == report.entries
+
+
+def test_an_input_that_reaches_nothing_computes_no_kernel(conv_kernels):
+    """An unused input's probes reuse the base forward's output whole."""
+    inputs = {**_two_conv_inputs(), "unused": rng(21).standard_normal((1, 1, 2, 2))}
+    report = grad_check(lambda x, w1, w2, unused: _two_convs(x, w1, w2), inputs)
+    assert report.ok
+    assert report.entries[3].probed == 4 and report.entries[3].max_rel_err == 0.0
+    assert len(conv_kernels) == 2 + 2 * (2 * 32 + 2 * 54 + 1 * 6)  # as without the input
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_check_entry_equals_a_full_rerun(rerun_probes, seed):
+    """Recomputing only each input's cone gives every entry of every check, bit for bit."""
+    checks = verify.checks_for_scope("all", seed)
+    cones = [run().entries for _, run in checks]
+    rerun_probes()
+    assert [run().entries for _, run in checks] == cones
 
 
 @pytest.mark.parametrize("label, count", [("block.edge_attention", 426), ("pipeline.full", 2244)])
 def test_constant_kernels_are_reused(conv_kernels, label, count):
-    """deep_sobel's kernels are built once, so probes match them and reuse their convs."""
+    """Probes compute only the convs their input reaches; deep_sobel's kernels are constants."""
     [run] = [run for name, run in block_checks(1) + pipeline_check(1) if name == label]
     conv_kernels.clear()
     run()
     assert len(conv_kernels) == count
-
-
-def test_a_misaligned_call_recomputes(conv_kernels):
-    """Calls shifted by one position from the base forward's match nothing and compute anew."""
-    evaluations = []
-
-    def shifted(x, w1, w2):
-        if evaluations:  # every evaluation after the base forward makes one extra call first
-            en.sum_all(x)
-        evaluations.append(None)
-        return _two_convs(x, w1, w2)
-
-    aligned = grad_check(_two_convs, _two_conv_inputs()).entries
-    conv_kernels.clear()
-    assert grad_check(shifted, _two_conv_inputs()).entries == aligned
-    assert len(conv_kernels) == 2 * len(evaluations) == 2 * (1 + 2 * (32 + 54 + 6))
 
 
 def _recorded_stores(monkeypatch):

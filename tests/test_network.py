@@ -126,3 +126,38 @@ class TestValidation:
 def test_network_allocates_no_gradients():
     # gradient buffers come from backward, so inference never holds them
     assert all(p.grad is None for p in en.Network().parameters())
+
+
+CONFIGS = pytest.mark.parametrize("config", [{}, SMALL], ids=["default", "small"])
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+
+
+class TestBatchIndependence:
+    """Metamorphic relations over the batch axis: images in one batch never mix."""
+
+    @staticmethod
+    def forwards(config, dtype):
+        net = en.Network(seed=5, dtype=dtype, **config)
+        images = [en.noise_image(seed, 64, 64, dtype).data for seed in (6, 7)]
+        batch = net.forward(en.Tensor(np.concatenate(images))).named
+        reverse = net.forward(en.Tensor(np.concatenate(images[::-1]))).named
+        singles = [net.forward(en.Tensor(image)).named for image in images]
+        return batch, reverse, singles
+
+    @CONFIGS
+    @DTYPES
+    def test_a_batch_forward_equals_single_image_forwards(self, config, dtype):
+        batch, _, singles = self.forwards(config, dtype)
+        assert batch.keys() == singles[0].keys()
+        for name, t in batch.items():
+            assert t.dims[0] == 2, name
+            for j, single in enumerate(singles):  # image by image, bit for bit
+                assert t.data[j].tobytes() == single[name].data[0].tobytes(), (name, j)
+
+    @CONFIGS
+    @DTYPES
+    def test_reversing_the_batch_reverses_every_named_tensor(self, config, dtype):
+        batch, reverse, _ = self.forwards(config, dtype)
+        assert batch.keys() == reverse.keys()
+        for name, t in batch.items():
+            assert reverse[name].data.tobytes() == t.data[::-1].tobytes(), name
