@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 import edgeneck as en
-from edgeneck.netpbm import write_gray
+from edgeneck.netpbm import write_image
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -45,8 +45,8 @@ def main():
     print("magnitude over a flat patch:", float(np.abs(interior_flat).max()))
     print("magnitude at the step column:", float(mag.data[0, 0, 100, 64]))
 
-    write_gray(os.path.join(HERE, "scene.pgm"), to_bytes(img))
-    write_gray(os.path.join(HERE, "scene_edges.pgm"), to_bytes(mag.data[0, 0]))
+    write_image(os.path.join(HERE, "scene.pgm"), to_bytes(img))
+    write_image(os.path.join(HERE, "scene_edges.pgm"), to_bytes(mag.data[0, 0]))
     print("wrote scene.pgm and scene_edges.pgm in", HERE)
 
     # The same operation is exposed as a CLI subcommand:

@@ -3,7 +3,8 @@
 The backbone emits features at strides 4..64.  Aggregation resamples
 neighbours onto four target grids and concatenates them; the top-down
 pyramid then walks coarse to fine, adding an upsampled copy of each
-coarser output into the next finer one.
+coarser output into the next finer one.  Levels travel between blocks as
+``{stride: tensor}`` dicts, ordered fine to coarse.
 """
 
 import numpy as np
@@ -12,8 +13,7 @@ import edgeneck as en
 
 
 def show(tag, levels):
-    parts = [f"s{lv.stride}:{lv.channels}c{lv.tensor.dims[2]}x{lv.tensor.dims[3]}"
-             for lv in levels]
+    parts = [f"s{stride}:{t.dims[1]}c{t.dims[2]}x{t.dims[3]}" for stride, t in levels.items()]
     print(f"{tag:<11}" + "  ".join(parts))
 
 
@@ -31,30 +31,23 @@ def main():
     # Channel counts are predictable from the plan alone, before any data
     # moves: each target level is the concat of its contributing sources.
     plan = en.aggregation_plan("full")
-    print("planned channels:", en.plan_channels(plan, feats.channels))
+    print("planned channels:", en.plan_channels(plan, [t.dims[1] for t in feats.values()]))
 
     agg = en.aggregate(feats, "full")
     pyramid = en.TopDownPyramid("demo.pyr", en.Params(np.random.default_rng(13), np.float32),
-                                [(lv.stride, lv.channels) for lv in agg],
+                                [(stride, t.dims[1]) for stride, t in agg.items()],
                                 width=8)
     fused = pyramid(agg)
     show("fused", fused)
 
     # The coarse-to-fine direction is easy to demonstrate: wiggle one input
     # level and watch which outputs move.
-    base = fused
-    for bump in agg.strides:
-        moved = []
-        levels = []
-        for lv in agg:
-            t = lv.tensor
-            if lv.stride == bump:
-                t = en.Tensor(t.data + 1.0)
-            levels.append(en.PyramidLevel(lv.stride, t))
-        out = pyramid(en.PyramidSet(levels))
-        for a, b in zip(base, out):
-            if not np.array_equal(a.tensor.data, b.tensor.data):
-                moved.append(a.stride)
+    for bump in agg:
+        levels = dict(agg)
+        levels[bump] = en.Tensor(agg[bump].data + 1.0)
+        out = pyramid(levels)
+        moved = [stride for stride in fused
+                 if not np.array_equal(fused[stride].data, out[stride].data)]
         print(f"perturb s{bump:<3} -> outputs that changed: {moved}")
 
 

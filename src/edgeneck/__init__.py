@@ -17,7 +17,7 @@ from .errors import (
 )
 from .gradcheck import GradCheckReport, grad_check
 from .layers import Conv2d, Params
-from .levels import PyramidLevel, PyramidSet
+from .levels import check_levels
 from .network import ForwardResult, Network, noise_image
 from .pyramid import TopDownPyramid
 from .receptive_field import BRANCH_WIDTH, WideFieldBlock, receptive_extent

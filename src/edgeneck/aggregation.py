@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .backbone import STRIDES
 from .errors import ConfigError
-from .levels import PyramidLevel, PyramidSet
+from .levels import check_levels
 from .tensor import concat_channels, down2_max, up2_nearest
 
 MODES = ("full", "low3", "high3")
@@ -55,21 +55,19 @@ def aggregation_plan(mode="full"):
 
 def plan_channels(plan, source_channels):
     """Output channel count per fused level, from the source channel map."""
-    by_stride = dict(zip(STRIDES, source_channels))
-    return tuple(sum(by_stride[s] for s, _ in constituents) for _, constituents in plan)
+    channels = dict(zip(STRIDES, source_channels))
+    return tuple(sum(channels[s] for s, _ in constituents) for _, constituents in plan)
 
 
 def aggregate(feats, mode="full"):
-    """Fuse a 5-level source set into the mode's aggregated set."""
-    if feats.strides != STRIDES:
+    """Fuse a 5-level source dict into the mode's aggregated levels."""
+    check_levels(feats)
+    if tuple(feats) != STRIDES:
         raise ConfigError(
-            f"aggregation needs source strides {STRIDES}, got {feats.strides}"
+            f"aggregation needs source strides {STRIDES}, got {tuple(feats)}"
         )
-    out = []
+    out = {}
     for stride, constituents in aggregation_plan(mode):
-        parts = []
-        for source_stride, op in constituents:
-            t = feats.by_stride(source_stride).tensor
-            parts.append(op(t) if op else t)
-        out.append(PyramidLevel(stride, concat_channels(parts)))
-    return PyramidSet(out)
+        out[stride] = concat_channels([op(feats[s]) if op else feats[s]
+                                       for s, op in constituents])
+    return out

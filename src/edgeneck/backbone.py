@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import ContractError, ShapeError
 from .layers import Conv2d
-from .levels import PyramidLevel, PyramidSet
+from .levels import check_levels
 from .tensor import ConvSpec, relu
 
 STRIDES = (4, 8, 16, 32, 64)
@@ -44,9 +44,9 @@ class Backbone:
                 f"input spatial dims must be divisible by {STRIDES[-1]}, got {h}x{w}"
             )
         x = image
-        features = []
+        features = {}
         for i, conv in enumerate(self.convs):
             x = relu(conv(x))
             if i >= 1:  # stem1+stem2 jointly produce the stride-4 level
-                features.append(PyramidLevel(STRIDES[i - 1], x))
-        return PyramidSet(features)
+                features[STRIDES[i - 1]] = x
+        return check_levels(features)

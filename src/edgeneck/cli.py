@@ -24,7 +24,7 @@ from .edge_attention import edge_map
 from .errors import (
     ConfigError, ContractError, DomainError, FormatError, UsageError,
 )
-from .netpbm import read_image, to_luma, write_gray
+from .netpbm import read_image, to_luma, write_image
 from .network import Network, noise_image
 from .report import build_report
 from .tensor import Tensor
@@ -107,7 +107,7 @@ def cmd_edge(args):
         scaled = np.rint((mag - mag.min()) / spread * 255.0)
     else:
         scaled = np.zeros_like(mag)  # flat input: emit all black, not 0/0
-    write_gray(args.output, scaled.astype(np.uint8))
+    write_image(args.output, scaled.astype(np.uint8))
     h, w = mag.shape
     print(f"{args.output}: {w}x{h} edge magnitude written")
     return 0
@@ -140,16 +140,20 @@ def cmd_gradcheck(args):
     return 0 if ok else 1
 
 
+def _reference_outputs(net, image):
+    """The forward's ``out.s*`` arrays, under their reference-entry names."""
+    named = net.forward(image).named
+    return {CHECK_PREFIX + name: t.data for name, t in named.items() if name.startswith("out.")}
+
+
 def cmd_weights(args):
     cfg = _load_cfg(args)
     net = _build_network(cfg)
     image = _load_input(cfg)
 
     if args.action == "dump":
-        result = net.forward(image)
         entries = {p.name: p.value.data for p in net.parameters()}
-        for lv in result.outputs:
-            entries[f"{CHECK_PREFIX}out.s{lv.stride}"] = lv.tensor.data
+        entries.update(_reference_outputs(net, image))
         write_container(args.path, entries)
         print(f"{args.path}: wrote {len(entries)} tensors")
         return 0
@@ -158,8 +162,7 @@ def cmd_weights(args):
     if not checks:
         raise FormatError(f"{args.path}: container holds no reference outputs to verify")
     load_into_parameters(net.parameter_map(), params)
-    result = net.forward(image)
-    produced = {f"{CHECK_PREFIX}out.s{lv.stride}": lv.tensor.data for lv in result.outputs}
+    produced = _reference_outputs(net, image)
     mismatched = []
     for name, stored in checks.items():
         fresh = produced.get(name)

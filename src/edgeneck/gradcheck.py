@@ -104,24 +104,24 @@ def _tensors(arg):
 
 
 def _cone(calls, arg_ids, leaf):
-    """The listed ``calls`` that ``leaf`` reaches, in order, as ``(op, args, kwargs, swaps, key)``.
+    """The ``((op, args, kwargs), out)`` entries of the listed ``calls`` that ``leaf`` reaches.
 
-    ``arg_ids`` holds each call's set of argument ids.  ``swaps`` pairs the
-    position or keyword of each argument that is a reached tensor with its
-    id, and of each list that holds one with ``None``; ``key`` is the id of
-    the call's output.
+    ``arg_ids`` holds each call's set of argument ids; the entries keep the listed order.
     """
     reached = {id(leaf)}
     cone = []
-    for ((op, args, kwargs), out), ids in zip(calls, arg_ids):
-        if reached.isdisjoint(ids):
-            continue
-        swaps = [(where, id(arg) if isinstance(arg, Tensor) else None)
-                 for where, arg in (*enumerate(args), *kwargs.items())
-                 if not reached.isdisjoint(map(id, _tensors(arg)))]
-        reached.add(id(out))
-        cone.append((op, args, kwargs, swaps, id(out)))
+    for call, ids in zip(calls, arg_ids):
+        if not reached.isdisjoint(ids):
+            reached.add(id(call[1]))
+            cone.append(call)
     return cone
+
+
+def _swap(arg, new):
+    """``arg``, or the tensor ``new`` maps its id to; a list or tuple has each element swapped."""
+    if isinstance(arg, (list, tuple)):
+        return [new.get(id(t), t) for t in arg]
+    return new.get(id(arg), arg)
 
 
 def _central(cone, leaf, step, out):
@@ -139,12 +139,10 @@ def _central(cone, leaf, step, out):
     for data in (leaf.data + move, leaf.data - move):
         new = {id(leaf): Tensor(data, requires_grad=True)}
         with Tape() as tape:
-            for op, args, kwargs, swaps, key in cone:
-                args, kwargs = list(args), dict(kwargs)
-                for where, src in swaps:
-                    box = kwargs if isinstance(where, str) else args
-                    box[where] = new[src] if src else [new.get(id(t), t) for t in box[where]]
-                new[key] = op(*args, **kwargs)
+            for (op, args, kwargs), base in cone:
+                if kwargs:
+                    kwargs = {k: _swap(v, new) for k, v in kwargs.items()}
+                new[id(base)] = op(*[_swap(a, new) for a in args], **kwargs)
         values.append(new.get(id(out), out).item())
         branches.append([rec.saved["branch"] for rec in tape.records if "branch" in rec.saved])
     if not all(map(np.array_equal, *branches)):

@@ -105,22 +105,16 @@ def read_image(path):
         raise FormatError(f"{path}: {exc}") from None
 
 
-def write_gray(path, pixels):
-    """Write a HxW uint8 array as canonical binary P5."""
+def write_image(path, pixels):
+    """Write a HxW uint8 array as canonical binary P5, or a HxWx3 one as P6."""
     arr = np.ascontiguousarray(pixels, np.uint8)
-    if arr.ndim != 2:
-        raise FormatError(f"grayscale writer needs a HxW array, got shape {arr.shape}")
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(header + arr.tobytes())
-
-
-def write_color(path, pixels):
-    """Write a HxWx3 uint8 array as canonical binary P6."""
-    arr = np.ascontiguousarray(pixels, np.uint8)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise FormatError(f"color writer needs a HxWx3 array, got shape {arr.shape}")
-    header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
+    if arr.ndim == 2:
+        magic = "P5"
+    elif arr.ndim == 3 and arr.shape[2] == 3:
+        magic = "P6"
+    else:
+        raise FormatError(f"image writer needs a HxW or HxWx3 array, got shape {arr.shape}")
+    header = f"{magic}\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header + arr.tobytes())
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .backbone import IN_CHANNELS, Backbone
 from .edge_attention import EdgeGuidedAttention
 from .errors import ContractError, DomainError
 from .layers import Params
-from .levels import PyramidLevel, PyramidSet
 from .pyramid import TopDownPyramid
 from .receptive_field import WideFieldBlock
 from .tensor import Tensor
@@ -42,11 +42,25 @@ def noise_image(seed, height=256, width=256, dtype=np.float32):
     return Tensor(data.astype(dtype))
 
 
+class _Output(NamedTuple):
+    stride: int
+    tensor: Tensor
+
+
+class _Outputs(tuple):
+    """The pyramid outputs as ``(stride, tensor)`` pairs, fine to coarse.
+
+    A read-only view kept for ``perfbench/``; library code reads the
+    ``out.s*`` entries of ``ForwardResult.named``.
+    """
+
+    def tensors(self):
+        return [lv.tensor for lv in self]
+
+
 @dataclass
 class ForwardResult:
-    aggregated: PyramidSet
-    refined: PyramidSet
-    outputs: PyramidSet
+    outputs: _Outputs
     named: dict
 
 
@@ -96,37 +110,28 @@ class Network:
                 f"input pixel (n, c, y, x) = {index} is {image.data[index]}; pixels must be finite"
             )
         stopwatch = _Stopwatch(timings)
-        named = {}
         feats = self.backbone(image)
         stopwatch.lap("backbone")
-        for lv in feats:
-            named[f"feat.s{lv.stride}"] = lv.tensor
+        named = {f"feat.s{stride}": t for stride, t in feats.items()}
 
-        f1t, f2t = self.edge(feats.by_stride(4).tensor, feats.by_stride(8).tensor)
+        f1t, f2t = self.edge(feats[4], feats[8])
         stopwatch.lap("edge")
         named["edged.s4"] = f1t
         named["edged.s8"] = f2t
 
-        sources = PyramidSet([PyramidLevel(4, f1t), PyramidLevel(8, f2t)] + feats.levels[2:])
-        agg = aggregate(sources, self.fa_mode)
+        agg = aggregate({**feats, 4: f1t, 8: f2t}, self.fa_mode)
         stopwatch.lap("aggregate")
-        for lv in agg:
-            named[f"agg.s{lv.stride}"] = lv.tensor
+        named.update((f"agg.s{stride}", t) for stride, t in agg.items())
 
-        refined_levels = []
-        for lv in agg:
-            if lv.stride in self.wide:  # not the coarsest level, which passes through
-                lv = PyramidLevel(lv.stride, self.wide[lv.stride](lv.tensor))
-                named[f"wide.s{lv.stride}"] = lv.tensor
-            refined_levels.append(lv)
-        refined = PyramidSet(refined_levels)
+        refined = dict(agg)  # the coarsest level passes through
+        for stride, block in self.wide.items():
+            refined[stride] = named[f"wide.s{stride}"] = block(agg[stride])
         stopwatch.lap("wide")
 
         outs = self.pyramid(refined)
         stopwatch.lap("pyramid")
-        for lv in outs:
-            named[f"out.s{lv.stride}"] = lv.tensor
-        return ForwardResult(agg, refined, outs, named)
+        named.update((f"out.s{stride}", t) for stride, t in outs.items())
+        return ForwardResult(_Outputs(map(_Output._make, outs.items())), named)
 
 
 class _Stopwatch:

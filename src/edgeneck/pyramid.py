@@ -14,12 +14,12 @@ dims, so a detection head can consume the set uniformly.
 from __future__ import annotations
 
 from .layers import Conv2d
-from .levels import PyramidLevel, PyramidSet
+from .levels import check_levels
 from .tensor import ConvSpec, add, up2_nearest
 
 
 class TopDownPyramid:
-    """Lateral + upsample + add + smooth fusion over an ordered level set.
+    """Lateral + upsample + add + smooth fusion over ``{stride: tensor}`` levels.
 
     ``level_channels`` maps stride -> input channel count, ordered fine
     to coarse; all outputs have ``width`` channels.
@@ -36,13 +36,12 @@ class TopDownPyramid:
                 f"{name}.s{stride}.smooth", params, width, width, (3, 3), smooth_spec)
 
     def __call__(self, levels):
+        check_levels(levels)
         coarser = None
-        fused = []
-        for lv in reversed(list(levels)):
-            top = self.laterals[lv.stride](lv.tensor)
+        fused = {}
+        for stride, t in reversed(levels.items()):
+            top = self.laterals[stride](t)
             if coarser is not None:
                 top = add(top, up2_nearest(coarser))
-            out = self.smooths[lv.stride](top)
-            coarser = out
-            fused.append(PyramidLevel(lv.stride, out))
-        return PyramidSet(list(reversed(fused)))
+            coarser = fused[stride] = self.smooths[stride](top)
+        return dict(reversed(fused.items()))

@@ -18,7 +18,6 @@ from .backbone import STRIDES
 from .edge_attention import ChannelAttention, EdgeGuidedAttention, edge_map
 from .gradcheck import grad_check
 from .layers import Params
-from .levels import PyramidLevel, PyramidSet
 from .network import Network, noise_image
 from .pyramid import TopDownPyramid
 from .receptive_field import WideFieldBlock
@@ -46,10 +45,6 @@ def _loss(*tensors):
     for t in tensors[1:]:
         total = add(total, sum_all(t))
     return total
-
-
-def _levels(strides, tensors):
-    return PyramidSet(map(PyramidLevel, strides, tensors))
 
 
 def _bound(params, loss):
@@ -134,12 +129,12 @@ def block_checks(seed=1):
         _case("block.aggregate", seed,
               {"x1": (1, 2, 16, 16), "x2": (1, 3, 8, 8), "x3": (1, 4, 4, 4),
                "x4": (1, 5, 2, 2), "x5": (1, 6, 1, 1)},
-              lambda *xs: _loss(*aggregate(_levels(STRIDES, xs), "full").tensors()), 12),
+              lambda *xs: _loss(*aggregate(dict(zip(STRIDES, xs)), "full").values()), 12),
         _case("block.wide_field", seed, {"x": (1, 3, 9, 9)},
               lambda wide, x: sum_all(wide(x)), 3,
               block=lambda params: WideFieldBlock("check.wide", params, 3, 4)),
         _case("block.pyramid", seed, {"x1": (1, 3, 8, 8), "x2": (1, 4, 4, 4), "x3": (1, 5, 2, 2)},
-              lambda pyr, *xs: _loss(*pyr(_levels((8, 16, 32), xs)).tensors()), 4,
+              lambda pyr, *xs: _loss(*pyr(dict(zip((8, 16, 32), xs))).values()), 4,
               block=lambda params: TopDownPyramid("check.pyr", params,
                                                   [(8, 3), (16, 4), (32, 5)], 6)),
     ]
@@ -155,7 +150,11 @@ def pipeline_check(seed=1):
                       fa_mode="full", reduction=4, dtype=np.float64)
         inputs = {"image": noise_image(seed, 64, 64, np.float64)}
         inputs.update((name, p.value) for name, p in net.params.items())
-        fn = _bound(net.params, lambda image: _loss(*net.forward(image).outputs.tensors()))
+
+        def loss(image):
+            named = net.forward(image).named
+            return _loss(*(t for name, t in named.items() if name.startswith("out.")))
+        fn = _bound(net.params, loss)
         return grad_check(fn, inputs, rng=_rng(seed, "pipeline.pick"), directional=True)
     return [("pipeline.full", run)]
 

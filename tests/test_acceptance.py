@@ -12,7 +12,7 @@ import pytest
 
 import edgeneck as en
 from edgeneck.edge_attention import ChannelAttention
-from edgeneck.netpbm import read_image, write_gray
+from edgeneck.netpbm import read_image, write_image
 from edgeneck.verify import checks_for_scope
 
 from reference import (
@@ -96,19 +96,18 @@ def test_channel_contract_and_ablation(criterion):
 
         def feature_set(bump_stride=None):
             rng = np.random.default_rng(17)
-            levels = []
+            levels = {}
             for i, (stride, c) in enumerate(zip((4, 8, 16, 32, 64), (4, 8, 8, 16, 16))):
                 data = rng.standard_normal((1, c, 64 >> i, 64 >> i))
                 if stride == bump_stride:
                     data = data + 1.0
-                levels.append(en.PyramidLevel(stride, en.Tensor(data)))
-            return en.PyramidSet(levels)
+                levels[stride] = en.Tensor(data)
+            return levels
 
         def moved_by(mode, bump_stride):
             base = en.aggregate(feature_set(), mode)
             bumped = en.aggregate(feature_set(bump_stride), mode)
-            return any(not np.array_equal(a.tensor.data, b.tensor.data)
-                       for a, b in zip(base, bumped))
+            return any(not np.array_equal(base[s].data, bumped[s].data) for s in base)
 
         for stride in (4, 8, 16):
             assert moved_by("low3", stride), f"low3 must use stride {stride}"
@@ -147,28 +146,34 @@ def test_topdown_contract(criterion):
 
         def levels(bump_stride=None):
             rng = np.random.default_rng(37)
-            out = []
+            out = {}
             for i, (stride, c) in enumerate(level_channels):
                 data = rng.standard_normal((1, c, 32 >> i, 32 >> i))
                 if stride == bump_stride:
                     data = data + 1.0
-                out.append(en.PyramidLevel(stride, en.Tensor(data)))
-            return en.PyramidSet(out)
+                out[stride] = en.Tensor(data)
+            return out
 
         base_in = levels()
         base = pyr(base_in)
-        for rf, g in zip(base_in, base):
-            assert g.tensor.dims == (1, 8) + rf.tensor.dims[2:]
+        assert list(base) == list(base_in)
+        for stride, rf in base_in.items():
+            assert base[stride].dims == (1, 8) + rf.dims[2:]
         for j, stride_j in enumerate((8, 16, 32, 64)):
             moved = pyr(levels(stride_j))
-            changed = [a.stride for a, b in zip(base, moved)
-                       if not np.array_equal(a.tensor.data, b.tensor.data)]
+            changed = [s for s in base if not np.array_equal(base[s].data, moved[s].data)]
             assert changed == [8, 16, 32, 64][: j + 1], f"perturbed RF at {stride_j}"
 
         net = en.Network(seed=41, **SMALL)
         img = en.noise_image(41, 64, 64)
+        pyramid, taken = net.pyramid, []
+
+        def spy(levels):
+            taken.append(levels)
+            return pyramid(levels)
+        net.pyramid = spy
         before = net.forward(img)
-        assert before.refined.by_stride(64).tensor is before.aggregated.by_stride(64).tensor
+        assert taken[0][64] is before.named["agg.s64"]
         for p in net.parameters():
             if p.name.startswith("wide."):
                 p.value.data[...] += 0.125
@@ -207,7 +212,7 @@ def test_cli_edge_speed_and_oracle(criterion, run_cli, tmp_path):
         img = np.zeros((256, 256), np.uint8)
         img[:, 128:] = 255
         src, dst = tmp_path / "step.pgm", tmp_path / "edge.pgm"
-        write_gray(src, img)
+        write_image(src, img)
         started = time.perf_counter()
         code, _, _ = run_cli("edge", src, dst)
         elapsed = time.perf_counter() - started

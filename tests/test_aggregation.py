@@ -12,12 +12,12 @@ from edgeneck.errors import ConfigError
 def make_set(channels=(16, 32, 64, 128, 256), base=64, batch=1, seed=0,
              requires_grad=False, dtype=np.float64):
     rng = np.random.default_rng(seed)
-    levels = []
+    levels = {}
     for i, (stride, c) in enumerate(zip(STRIDES, channels)):
         hw = base >> i
         data = rng.standard_normal((batch, c, hw, hw)).astype(dtype)
-        levels.append(en.PyramidLevel(stride, en.Tensor(data, requires_grad)))
-    return en.PyramidSet(levels)
+        levels[stride] = en.Tensor(data, requires_grad)
+    return levels
 
 
 class TestPlan:
@@ -50,62 +50,54 @@ class TestAggregateFull:
     def test_channels_and_spatial(self):
         feats = make_set()
         merged = en.aggregate(feats)
-        assert merged.strides == (8, 16, 32, 64)
-        assert merged.channels == (48, 224, 384, 256)
-        assert tuple(lv.tensor.dims[2] for lv in merged) == (32, 16, 8, 4)
+        assert list(merged) == [8, 16, 32, 64]
+        assert [t.dims[1:3] for t in merged.values()] == [(48, 32), (224, 16), (384, 8), (256, 4)]
 
     def test_zero_in_zero_out(self):
-        feats = en.PyramidSet([
-            en.PyramidLevel(s, en.Tensor(np.zeros((1, c, 64 >> i, 64 >> i), np.float32)))
-            for i, (s, c) in enumerate(zip(STRIDES, (4, 8, 8, 16, 16)))
-        ])
-        for lv in en.aggregate(feats):
-            assert not lv.tensor.data.any()
+        feats = {s: en.Tensor(np.zeros((1, c, 64 >> i, 64 >> i), np.float32))
+                 for i, (s, c) in enumerate(zip(STRIDES, (4, 8, 8, 16, 16)))}
+        for t in en.aggregate(feats).values():
+            assert not t.data.any()
 
     def test_concat_order_by_slicing(self):
         feats = make_set(channels=(4, 8, 16, 32, 64), seed=3)
         merged = en.aggregate(feats)
-        f1, f2, f3, f4, f5 = feats.tensors()
-        fa1 = merged.by_stride(8).tensor
+        f1, f2, f3, f4, f5 = feats.values()
+        fa1 = merged[8]
         assert np.array_equal(fa1.data[:, 0:4], en.down2_max(f1).data)
         assert np.array_equal(fa1.data[:, 4:12], f2.data)
-        fa2 = merged.by_stride(16).tensor
+        fa2 = merged[16]
         assert np.array_equal(fa2.data[:, 0:8], en.down2_max(f2).data)
         assert np.array_equal(fa2.data[:, 8:24], f3.data)
         assert np.array_equal(fa2.data[:, 24:56], en.up2_nearest(f4).data)
-        fa3 = merged.by_stride(32).tensor
+        fa3 = merged[32]
         assert np.array_equal(fa3.data[:, 0:32], f4.data)
         assert np.array_equal(fa3.data[:, 32:96], en.up2_nearest(f5).data)
-        assert np.array_equal(merged.by_stride(64).tensor.data, f5.data)
+        assert np.array_equal(merged[64].data, f5.data)
 
     def test_locality_of_mid_feature(self):
         base = make_set(channels=(4, 8, 8, 16, 16), seed=4)
-        bumped_levels = []
-        for lv in base:
-            data = lv.tensor.data.copy()
-            if lv.stride == 16:
-                data += 1.0
-            bumped_levels.append(en.PyramidLevel(lv.stride, en.Tensor(data)))
+        bumped = dict(base)
+        bumped[16] = en.Tensor(base[16].data + 1.0)
         a = en.aggregate(base)
-        b = en.aggregate(en.PyramidSet(bumped_levels))
-        changed = [lv.stride for lv, other in zip(a, b)
-                   if not np.array_equal(lv.tensor.data, other.tensor.data)]
+        b = en.aggregate(bumped)
+        changed = [stride for stride in a if not np.array_equal(a[stride].data, b[stride].data)]
         assert changed == [16]
 
     def test_gradient_reaches_every_input(self):
         feats = make_set(channels=(2, 2, 2, 2, 2), base=16, seed=5, requires_grad=True)
         with en.Tape() as tape:
-            merged = en.aggregate(feats)
-            loss = en.sum_all(merged[0].tensor)
-            for lv in list(merged)[1:]:
-                loss = en.add(loss, en.sum_all(lv.tensor))
+            first, *rest = en.aggregate(feats).values()
+            loss = en.sum_all(first)
+            for t in rest:
+                loss = en.add(loss, en.sum_all(t))
         en.backward(tape, loss)
-        for lv in feats:
-            assert lv.tensor.grad.any(), f"no gradient reached stride {lv.stride}"
+        for stride, t in feats.items():
+            assert t.grad.any(), f"no gradient reached stride {stride}"
 
     def test_wrong_strides_rejected(self):
         feats = make_set(channels=(4, 8, 8, 16, 16))
-        partial = en.PyramidSet(list(feats)[:4])
+        partial = {s: feats[s] for s in STRIDES[:4]}
         with pytest.raises(ConfigError):
             en.aggregate(partial)
 
@@ -115,42 +107,37 @@ class TestAblationModes:
         feats = make_set(channels=(4, 8, 8, 16, 16), seed=6)
         a = en.aggregate(feats)
         b = en.aggregate(feats, mode="full")
-        for x, y in zip(a, b):
-            assert np.array_equal(x.tensor.data, y.tensor.data)
+        assert list(a) == list(b)
+        for stride in a:
+            assert np.array_equal(a[stride].data, b[stride].data)
 
     def _perturbed(self, feats, stride, seed=99):
         rng = np.random.default_rng(seed)
-        levels = []
-        for lv in feats:
-            data = lv.tensor.data
-            if lv.stride == stride:
-                data = data + rng.standard_normal(data.shape)
-            levels.append(en.PyramidLevel(lv.stride, en.Tensor(data)))
-        return en.PyramidSet(levels)
+        moved = dict(feats)
+        moved[stride] = en.Tensor(feats[stride].data + rng.standard_normal(feats[stride].dims))
+        return moved
 
     def test_low3_ignores_coarse_inputs(self):
         feats = make_set(channels=(4, 8, 8, 16, 16), seed=7)
         base = en.aggregate(feats, mode="low3")
-        assert base.strides == (8, 16)
-        assert base.channels == (12, 16)
+        assert [(s, t.dims[1]) for s, t in base.items()] == [(8, 12), (16, 16)]
         for stride in (32, 64):
             other = en.aggregate(self._perturbed(feats, stride), mode="low3")
-            for x, y in zip(base, other):
-                assert np.array_equal(x.tensor.data, y.tensor.data)
+            for s, t in base.items():
+                assert np.array_equal(t.data, other[s].data)
         other = en.aggregate(self._perturbed(feats, 4), mode="low3")
-        assert not np.array_equal(base[0].tensor.data, other[0].tensor.data)
+        assert not np.array_equal(base[8].data, other[8].data)
 
     def test_high3_ignores_fine_inputs(self):
         feats = make_set(channels=(4, 8, 8, 16, 16), seed=8)
         base = en.aggregate(feats, mode="high3")
-        assert base.strides == (16, 32, 64)
-        assert base.channels == (24, 32, 16)
+        assert [(s, t.dims[1]) for s, t in base.items()] == [(16, 24), (32, 32), (64, 16)]
         for stride in (4, 8):
             other = en.aggregate(self._perturbed(feats, stride), mode="high3")
-            for x, y in zip(base, other):
-                assert np.array_equal(x.tensor.data, y.tensor.data)
+            for s, t in base.items():
+                assert np.array_equal(t.data, other[s].data)
         other = en.aggregate(self._perturbed(feats, 16), mode="high3")
-        assert not np.array_equal(base[0].tensor.data, other[0].tensor.data)
+        assert not np.array_equal(base[16].data, other[16].data)
 
     def test_modes_constant(self):
         assert MODES == ("full", "low3", "high3")

@@ -19,19 +19,18 @@ def image(h=256, w=256, seed=1, dtype=np.float64):
 class TestContract:
     def test_default_plan_on_256(self):
         feats = make_backbone()(image())
-        assert feats.strides == STRIDES == (4, 8, 16, 32, 64)
-        assert feats.channels == (16, 32, 64, 128, 256)
-        assert [lv.tensor.dims[2:] for lv in feats] == \
-            [(64, 64), (32, 32), (16, 16), (8, 8), (4, 4)]
+        assert tuple(feats) == STRIDES == (4, 8, 16, 32, 64)
+        assert [t.dims[1:] for t in feats.values()] == \
+            [(16, 64, 64), (32, 32, 32), (64, 16, 16), (128, 8, 8), (256, 4, 4)]
 
     def test_rectangle(self):
         feats = make_backbone()(image(128, 192))
-        assert [lv.tensor.dims[2:] for lv in feats] == \
+        assert [t.dims[2:] for t in feats.values()] == \
             [(32, 48), (16, 24), (8, 12), (4, 6), (2, 3)]
 
     def test_custom_channels(self):
         feats = make_backbone(channels=(4, 8, 8, 16, 16))(image(64, 64))
-        assert feats.channels == (4, 8, 8, 16, 16)
+        assert [t.dims[1] for t in feats.values()] == [4, 8, 8, 16, 16]
 
     def test_bad_channel_plan(self):
         with pytest.raises(ContractError):
@@ -44,18 +43,18 @@ class TestBehavior:
     def test_deterministic_build_and_run(self):
         a = make_backbone(seed=7)(image(64, 64, seed=2))
         b = make_backbone(seed=7)(image(64, 64, seed=2))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.tensor.data, y.tensor.data)
+        for stride in STRIDES:
+            assert np.array_equal(a[stride].data, b[stride].data)
 
     def test_zero_image_zero_features(self):
         feats = make_backbone()(en.Tensor(np.zeros((1, 3, 64, 64), np.float64)))
-        for lv in feats:
-            assert not lv.tensor.data.any()
+        for t in feats.values():
+            assert not t.data.any()
 
     def test_outputs_non_negative(self):
         feats = make_backbone()(image(64, 64))
-        for lv in feats:
-            assert np.all(lv.tensor.data >= 0)
+        for t in feats.values():
+            assert np.all(t.data >= 0)
 
 
 class TestValidation:

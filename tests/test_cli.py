@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from edgeneck import BACKWARD, Network, verify
-from edgeneck.netpbm import read_image, write_color, write_gray
+from edgeneck.netpbm import read_image, write_image
 from edgeneck.report import parse_report, tensor_stats
 from edgeneck.weights import MAGIC, VERSION, pack_entries, read_container, unpack_entries
 
@@ -36,7 +36,7 @@ def step_image(h=256, w=256):
 class TestEdge:
     def test_step_image_oracle(self, run_cli, tmp_path):
         src, dst = tmp_path / "step.pgm", tmp_path / "edge.pgm"
-        write_gray(src, step_image())
+        write_image(src, step_image())
         code, out, err = run_cli("edge", src, dst)
         assert code == 0 and "256x256" in out
         _, got = read_image(dst)
@@ -51,7 +51,7 @@ class TestEdge:
         rng = np.random.default_rng(3)
         img = rng.integers(0, 256, (40, 56), np.uint8)
         src, dst = tmp_path / "r.pgm", tmp_path / "e.pgm"
-        write_gray(src, img)
+        write_image(src, img)
         code, _, _ = run_cli("edge", src, dst)
         assert code == 0
         _, got = read_image(dst)
@@ -61,7 +61,7 @@ class TestEdge:
 
     def test_uniform_image_all_black(self, run_cli, tmp_path):
         src, dst = tmp_path / "g.pgm", tmp_path / "e.pgm"
-        write_gray(src, np.full((16, 16), 77, np.uint8))
+        write_image(src, np.full((16, 16), 77, np.uint8))
         code, _, _ = run_cli("edge", src, dst)
         assert code == 0
         _, got = read_image(dst)
@@ -72,15 +72,15 @@ class TestEdge:
         color = np.stack([gray, gray, gray], axis=2)
         psrc, pdst = tmp_path / "g.pgm", tmp_path / "ge.pgm"
         csrc, cdst = tmp_path / "c.ppm", tmp_path / "ce.pgm"
-        write_gray(psrc, gray)
-        write_color(csrc, color)
+        write_image(psrc, gray)
+        write_image(csrc, color)
         assert run_cli("edge", psrc, pdst)[0] == 0
         assert run_cli("edge", csrc, cdst)[0] == 0
         assert read_image(pdst)[1].tolist() == read_image(cdst)[1].tolist()
 
     def test_preserves_rectangles(self, run_cli, tmp_path):
         src, dst = tmp_path / "r.pgm", tmp_path / "e.pgm"
-        write_gray(src, np.zeros((24, 56), np.uint8))
+        write_image(src, np.zeros((24, 56), np.uint8))
         assert run_cli("edge", src, dst)[0] == 0
         assert read_image(dst)[1].shape == (24, 56)
 
@@ -162,7 +162,7 @@ class TestForward:
 
     def test_image_path_starting_with_noise(self, run_cli, tmp_path, monkeypatch):
         pixels = np.random.default_rng(3).integers(0, 256, (64, 64, 3), dtype=np.uint8)
-        write_color(tmp_path / "noise_img.ppm", pixels)
+        write_image(tmp_path / "noise_img.ppm", pixels)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL_CFG.replace("noise:64x64", "noise_img.ppm"))
         monkeypatch.chdir(tmp_path)
@@ -172,8 +172,8 @@ class TestForward:
 
     def test_grey_image_is_replicated_to_three_channels(self, run_cli, tmp_path, monkeypatch):
         grey = np.random.default_rng(4).integers(0, 256, (64, 64), dtype=np.uint8)
-        write_gray(tmp_path / "grey.pgm", grey)
-        write_color(tmp_path / "grey.ppm", np.repeat(grey[:, :, None], 3, axis=2))
+        write_image(tmp_path / "grey.pgm", grey)
+        write_image(tmp_path / "grey.ppm", np.repeat(grey[:, :, None], 3, axis=2))
         monkeypatch.chdir(tmp_path)
         reports = []
         for name in ("grey.pgm", "grey.ppm"):

@@ -467,9 +467,10 @@ def test_network_backward_runs_every_rule(monkeypatch):
     net = en.Network(seed=1, channels=(4, 8, 8, 16, 16), pyramid_width=8, fa_mode="full",
                      reduction=4, dtype=np.float64)
     with en.Tape() as tape:
-        outputs = net.forward(en.noise_image(1, 64, 64, np.float64)).outputs.tensors()
-        loss = en.sum_all(outputs[0])
-        for t in outputs[1:]:
+        named = net.forward(en.noise_image(1, 64, 64, np.float64)).named
+        first, *rest = (t for name, t in named.items() if name.startswith("out."))
+        loss = en.sum_all(first)
+        for t in rest:
             loss = en.add(loss, en.sum_all(t))
     en.backward(tape, loss)
     assert len(calls) == 13

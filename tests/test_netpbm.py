@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edgeneck.errors import FormatError
-from edgeneck.netpbm import parse_image, read_image, to_luma, write_color, write_gray
+from edgeneck.netpbm import parse_image, read_image, to_luma, write_image
 
 
 def gray_blob(w=3, h=2, raster=None):
@@ -52,14 +52,14 @@ class TestWrite:
     def test_gray_write_parse_roundtrip(self, tmp_path):
         img = np.arange(12, dtype=np.uint8).reshape(3, 4)
         path = tmp_path / "a.pgm"
-        write_gray(path, img)
+        write_image(path, img)
         magic, back = read_image(path)
         assert magic == "P5" and np.array_equal(back, img)
 
     def test_color_write_parse_roundtrip(self, tmp_path):
         img = np.arange(24, dtype=np.uint8).reshape(2, 4, 3)
         path = tmp_path / "a.ppm"
-        write_color(path, img)
+        write_image(path, img)
         magic, back = read_image(path)
         assert magic == "P6" and np.array_equal(back, img)
 
@@ -67,16 +67,14 @@ class TestWrite:
         # write(parse(write(x))) must reproduce the file byte for byte
         img = np.arange(6, dtype=np.uint8).reshape(2, 3)
         p1, p2 = tmp_path / "1.pgm", tmp_path / "2.pgm"
-        write_gray(p1, img)
+        write_image(p1, img)
         _, back = read_image(p1)
-        write_gray(p2, back)
+        write_image(p2, back)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_writer_shape_validation(self, tmp_path):
-        with pytest.raises(FormatError):
-            write_gray(tmp_path / "x.pgm", np.zeros((2, 2, 3), np.uint8))
-        with pytest.raises(FormatError):
-            write_color(tmp_path / "x.ppm", np.zeros((2, 2), np.uint8))
+        with pytest.raises(FormatError, match=r"HxW or HxWx3 array, got shape \(2, 2, 4\)"):
+            write_image(tmp_path / "x.pam", np.zeros((2, 2, 4), np.uint8))
 
 
 class TestErrors:

@@ -36,21 +36,39 @@ class TestNamedTensors:
 
     def test_low3_mode_levels(self):
         net, result = run(fa_mode="low3")
-        assert result.outputs.strides == (8, 16)
+        assert [k for k in result.named if k.startswith("out.")] == ["out.s8", "out.s16"]
         assert {k for k in result.named if k.startswith("agg.")} == {"agg.s8", "agg.s16"}
         assert {k for k in result.named if k.startswith("wide.")} == {"wide.s8"}
 
     def test_high3_mode_levels(self):
         net, result = run(fa_mode="high3")
-        assert result.outputs.strides == (16, 32, 64)
+        assert [k for k in result.named if k.startswith("out.")] == \
+            ["out.s16", "out.s32", "out.s64"]
         assert {k for k in result.named if k.startswith("wide.")} == \
             {"wide.s16", "wide.s32"}
+
+    def test_outputs_view_is_the_named_outputs(self):
+        """``outputs`` lists the ``out.s*`` entries of ``named``: same objects, same order."""
+        for mode in en.MODES:
+            _, result = run(fa_mode=mode)
+            outs = [(name, t) for name, t in result.named.items() if name.startswith("out.")]
+            view = [(lv.stride, lv.tensor) for lv in result.outputs]
+            assert [(f"out.s{s}", id(t)) for s, t in view] == [(n, id(t)) for n, t in outs]
+            assert list(map(id, result.outputs.tensors())) == [id(t) for _, t in outs]
 
 
 class TestCoarsestBypass:
     def test_refined_coarsest_is_aggregate_tensor(self):
-        net, result = run()
-        assert result.refined.by_stride(64).tensor is result.aggregated.by_stride(64).tensor
+        net = en.Network(seed=0, **SMALL)
+        taken = []
+        pyramid = net.pyramid
+
+        def spy(levels):
+            taken.append(levels)
+            return pyramid(levels)
+        net.pyramid = spy
+        result = net.forward(en.noise_image(0, 64, 64))
+        assert taken[0][64] is result.named["agg.s64"]
 
     def test_wide_params_cannot_reach_coarsest_output(self):
         net = en.Network(seed=3, fa_mode="full", **SMALL)

@@ -1,24 +1,25 @@
-"""Top-down pyramid fusion: width, shape, and dependency direction."""
+"""Top-down pyramid fusion: width, shape, dependency direction, level contract."""
 
 import numpy as np
 import pytest
 
 import edgeneck as en
 from edgeneck.errors import ContractError, ShapeError
+from edgeneck.levels import check_levels
 
 
 def make_levels(channels=(6, 10, 14, 18), base=32, seed=0, bump=None):
     """Four levels at strides 8..64; ``bump`` adds 1 to one stride's data."""
     rng = np.random.default_rng(seed)
-    levels = []
+    levels = {}
     for i, c in enumerate(channels):
         stride = 8 << i
         hw = base >> i
         data = rng.standard_normal((1, c, hw, hw))
         if bump == stride:
             data = data + 1.0
-        levels.append(en.PyramidLevel(stride, en.Tensor(data)))
-    return en.PyramidSet(levels)
+        levels[stride] = en.Tensor(data)
+    return levels
 
 
 def make_pyramid(channels=(6, 10, 14, 18), width=8, seed=1, params=None):
@@ -32,18 +33,15 @@ class TestShapes:
     def test_width_and_spatial_contract(self):
         pyr = make_pyramid(width=8)
         outs = pyr(make_levels())
-        assert outs.strides == (8, 16, 32, 64)
-        assert outs.channels == (8, 8, 8, 8)
-        assert tuple(lv.tensor.dims[2] for lv in outs) == (32, 16, 8, 4)
+        assert list(outs) == [8, 16, 32, 64]
+        assert [t.dims[1:3] for t in outs.values()] == [(8, 32), (8, 16), (8, 8), (8, 4)]
 
     def test_zero_inputs_zero_outputs(self):
         pyr = make_pyramid()
-        zeros = en.PyramidSet([
-            en.PyramidLevel(8 << i, en.Tensor(np.zeros((1, c, 32 >> i, 32 >> i), np.float64)))
-            for i, c in enumerate((6, 10, 14, 18))
-        ])
-        for lv in pyr(zeros):
-            assert not lv.tensor.data.any()
+        zeros = {8 << i: en.Tensor(np.zeros((1, c, 32 >> i, 32 >> i), np.float64))
+                 for i, c in enumerate((6, 10, 14, 18))}
+        for t in pyr(zeros).values():
+            assert not t.data.any()
 
     def test_parameter_inventory(self):
         params = en.Params(np.random.default_rng(1), np.float64)
@@ -60,8 +58,8 @@ class TestDependencyDirection:
         pyr = make_pyramid()
         base = pyr(make_levels())
         moved = pyr(make_levels(bump=bump_stride))
-        return [a.stride for a, b in zip(base, moved)
-                if not np.array_equal(a.tensor.data, b.tensor.data)]
+        return [stride for stride in base
+                if not np.array_equal(base[stride].data, moved[stride].data)]
 
     def test_coarsest_feeds_everything(self):
         assert self.changed_strides(64) == [8, 16, 32, 64]
@@ -82,25 +80,26 @@ class TestDependencyDirection:
         base = pyr(levels)
         pyr.smooths[64].weight.value.data[...] = 0.0
         moved = pyr(levels)
-        assert not np.array_equal(base.by_stride(32).tensor.data,
-                                  moved.by_stride(32).tensor.data)
+        assert not np.array_equal(base[32].data, moved[32].data)
 
 
 def _level(stride, n=1, hw=None):
     hw = 32 // stride if hw is None else hw
-    return en.PyramidLevel(stride, en.Tensor(np.zeros((n, 2, hw, hw), np.float32)))
+    return en.Tensor(np.zeros((n, 2, hw, hw), np.float32))
 
 
-@pytest.mark.parametrize("build, error, fragment", [
-    (lambda: en.PyramidSet([]), ContractError, "at least one level"),
-    (lambda: en.PyramidSet([_level(4), _level(16)]), ContractError,
+@pytest.mark.parametrize("levels, error, fragment", [
+    ({}, ContractError, "at least one level"),
+    ({4: _level(4), 16: _level(16)}, ContractError,
      "strides must double per level, got 4 then 16"),
-    (lambda: en.PyramidSet([_level(4), _level(8, hw=3)]), ShapeError,
+    ({4: _level(4), 8: _level(8, hw=3)}, ShapeError,
      "level at stride 8 has spatial 3x3, inconsistent with source resolution 32x32"),
-    (lambda: en.PyramidSet([_level(4), _level(8, n=2)]), ContractError, "one batch size"),
-    (lambda: en.PyramidSet([_level(4), _level(8)]).by_stride(16), ContractError,
-     r"no level with stride 16; have \(4, 8\)"),
-], ids=["empty", "strides", "resolution", "batch", "by_stride"])
-def test_level_contract_refusals(build, error, fragment):
-    with pytest.raises(error, match=fragment):
-        build()
+    ({4: _level(4), 8: _level(8, n=2)}, ContractError, "one batch size"),
+], ids=["empty", "strides", "resolution", "batch"])
+def test_level_contract_refusals(levels, error, fragment):
+    """``check_levels`` and every block that takes levels in refuse alike."""
+    pyr = en.TopDownPyramid("t.pyr", en.Params(np.random.default_rng(0), np.float32),
+                            [(s, 2) for s in levels], 2)
+    for entry in (check_levels, pyr, en.aggregate):
+        with pytest.raises(error, match=fragment):
+            entry(levels)
