@@ -118,10 +118,13 @@ def _cone(calls, arg_ids, leaf):
 
 
 def _swap(arg, new):
-    """``arg``, or the tensor ``new`` maps its id to; a list or tuple has each element swapped."""
+    """What ``new`` maps ``arg``'s id to, else ``arg``; a list or tuple has each element swapped."""
+    got = new.get(id(arg))
+    if got is not None:
+        return got
     if isinstance(arg, (list, tuple)):
         return [new.get(id(t), t) for t in arg]
-    return new.get(id(arg), arg)
+    return arg
 
 
 def _central(cone, leaf, step, out):
@@ -145,13 +148,17 @@ def _central(cone, leaf, step, out):
                 new[id(base)] = op(*[_swap(a, new) for a in args], **kwargs)
         values.append(new.get(id(out), out).item())
         branches.append([rec.saved["branch"] for rec in tape.records if "branch" in rec.saved])
-    if not all(map(np.array_equal, *branches)):
-        return None
+    for a, b in zip(*branches):
+        if a.shape != b.shape or not (a == b).all():
+            return None
     return (values[0] - values[1]) / (2.0 * EPS)
 
 
 def _steps(dims, rng, shuffled, directional):
-    """Unit vectors to probe an input of ``dims`` along, each with its coordinate or ``None``."""
+    """Unit vectors to probe an input of ``dims`` along, each with its row-major flat index.
+
+    A one-hot step yields the index of its coordinate, a direction ``None``.
+    """
     if directional:
         while True:
             u = rng.standard_normal(dims)
@@ -160,7 +167,7 @@ def _steps(dims, rng, shuffled, directional):
     for i in flat[rng.permutation(flat.size)] if shuffled else flat:
         step = np.zeros(dims)
         step.flat[i] = 1.0
-        yield step, tuple(int(c) for c in np.unravel_index(i, dims))
+        yield step, i
 
 
 def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
@@ -211,9 +218,9 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
         probed = 0
         skipped = 0
         worst = 0.0
-        worst_coord = None
+        worst_at = None
         # skipped probes draw replacements, within a bounded budget
-        for step, coord in islice(steps, max(6 * target, target + 12)):
+        for step, at in islice(steps, max(6 * target, target + 12)):
             numeric = _central(cone, leaf, step, out)
             if numeric is None:
                 skipped += 1
@@ -222,8 +229,10 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
             probed += 1
             if err > worst:
                 worst = err
-                worst_coord = coord
+                worst_at = at
             if probed == target:
                 break
+        worst_coord = None if worst_at is None else tuple(
+            map(int, np.unravel_index(worst_at, leaf.dims)))
         entries.append(GradCheckEntry(label, probed, skipped, worst, worst_coord))
     return GradCheckReport(entries, EPS, TOL)

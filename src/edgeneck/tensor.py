@@ -242,9 +242,16 @@ class ConvSpec:
 
 
 def _same_dtype(*tensors):
-    dtypes = {t.dtype for t in tensors if t is not None}
-    if len(dtypes) > 1:
-        raise ContractError(f"operands must share one element type, got {sorted(map(str, dtypes))}")
+    """Refuse operands of more than one element type; a ``None`` operand (no bias) is skipped.
+
+    Each ``data.dtype`` is compared with the first operand's in a plain loop,
+    which allocates nothing; only a refusal builds the sorted set that words it.
+    """
+    dtype = tensors[0].data.dtype
+    for t in tensors:
+        if t is not None and t.data.dtype != dtype:
+            names = sorted({str(u.data.dtype) for u in tensors if u is not None})
+            raise ContractError(f"operands must share one element type, got {names}")
 
 
 def _reduce_broadcast(grad, dims):
@@ -269,8 +276,8 @@ def conv2d(x, weight, bias=None, spec=ConvSpec()):
     platforms.
     """
     _same_dtype(x, weight, bias)
-    n, c, h, w = x.dims
-    c_out, c_in, kh, kw = weight.dims
+    n, c, h, w = x.data.shape
+    c_out, c_in, kh, kw = weight.data.shape
     if c_in != c:
         raise ContractError(f"weight in-channel dim {c_in} != input channels {c}")
     if bias is not None and bias.dims != (1, c_out, 1, 1):
@@ -404,6 +411,8 @@ def _conv_backward(rec, grad_out):
 # ---------------------------------------------------------------------------
 
 def _check_broadcast(a_dims, b_dims):
+    if a_dims == b_dims:
+        return
     for axis, (da, db) in enumerate(zip(a_dims, b_dims)):
         if da != db and da != 1 and db != 1:
             raise ContractError(

@@ -14,6 +14,11 @@ import numpy as np
 SOBEL_GX = ((1.0, 0.0, -1.0), (2.0, 0.0, -2.0), (1.0, 0.0, -1.0))
 
 
+def gamma(n, u=2.0 ** -53):
+    """Higham's gamma_n = n*u / (1 - n*u), the relative error bound of an n-term sum."""
+    return n * u / (1 - n * u)
+
+
 def conv2d_reference(x, w, bias=None, stride=(1, 1), padding=(0, 0),
                      dilation=(1, 1), groups=1):
     """Nested-loop cross-correlation, one rounding per term."""

@@ -1,12 +1,16 @@
 """Full pipeline wiring: names, ablation shapes, coarsest-level bypass."""
 
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
 import edgeneck as en
+import edgeneck.tensor as tensor_core
 from edgeneck.errors import ContractError, DomainError
+
+from reference import gamma
 
 SMALL = dict(channels=(4, 8, 8, 16, 16), pyramid_width=8, reduction=4)
 
@@ -154,9 +158,13 @@ class TestBatchIndependence:
     """Metamorphic relations over the batch axis: images in one batch never mix."""
 
     @staticmethod
-    def forwards(config, dtype):
+    def images(dtype):
+        return [en.noise_image(seed, 64, 64, dtype).data for seed in (6, 7)]
+
+    @classmethod
+    def forwards(cls, config, dtype):
         net = en.Network(seed=5, dtype=dtype, **config)
-        images = [en.noise_image(seed, 64, 64, dtype).data for seed in (6, 7)]
+        images = cls.images(dtype)
         batch = net.forward(en.Tensor(np.concatenate(images))).named
         reverse = net.forward(en.Tensor(np.concatenate(images[::-1]))).named
         singles = [net.forward(en.Tensor(image)).named for image in images]
@@ -179,3 +187,108 @@ class TestBatchIndependence:
         assert batch.keys() == reverse.keys()
         for name, t in batch.items():
             assert reverse[name].data.tobytes() == t.data[::-1].tobytes(), name
+
+    @staticmethod
+    def backward_of_outputs(net, image):
+        """The taped loss ``sum`` over every ``out.*`` tensor, after its backward; returns both."""
+        with en.Tape() as tape:
+            named = net.forward(en.Tensor(image)).named
+            loss = functools.reduce(en.add, [en.sum_all(t) for name, t in named.items()
+                                             if name.startswith("out.")])
+        en.backward(tape, loss)
+        return tape, loss
+
+    @staticmethod
+    def magnitudes(net, tape, loss, monkeypatch):
+        """Each parameter gradient as the sum of its terms' absolute values.
+
+        Every backward rule is a sum of products of ``grad_out`` with its
+        inputs' data or with non-negative saved factors, so running each rule
+        on absolute values sums ``|term|`` over every path from the loss.
+        """
+        def on_absolute_values(rule):
+            def run(rec, grad_out):
+                inputs = tuple(en.Tensor(np.abs(t.data), t.requires_grad) for t in rec.inputs)
+                return rule(tensor_core.TapeRecord(rec.op, inputs, rec.output, rec.saved),
+                            np.abs(grad_out))
+            return run
+
+        with monkeypatch.context() as patch:
+            for op, rule in list(tensor_core.BACKWARD.items()):
+                patch.setitem(tensor_core.BACKWARD, op, on_absolute_values(rule))
+            net.zero_grads()
+            en.backward(tape, loss)
+        return {p.name: p.grad.copy() for p in net.parameters()}
+
+    @staticmethod
+    def roundings(records, root):
+        """id(tensor) -> the most roundings one gradient term meets from ``root`` to it.
+
+        Walks the records as ``backward`` does.  A term meets, per record,
+        the longest sum it enters, counted as the conv loop-adjoint oracle
+        counts (``C_out*kH*kW + 1`` into the input, ``N*OH*OW + 1`` into the
+        weight, ``N*OH*OW`` into the bias; any other op, the output elements
+        one input element feeds plus 3 for its products), and at each tensor
+        one accumulation per record that reads it.
+        """
+        def sums(rec):
+            n, _, oh, ow = rec.output.dims
+            if rec.op == "conv2d":
+                c_out, _, kh, kw = rec.inputs[1].dims
+                return c_out * kh * kw + 1, n * oh * ow + 1, n * oh * ow
+            return [-(-rec.output.data.size // t.data.size) + 3 for t in rec.inputs]
+
+        longest, reads = {id(root): 0}, {id(root): 0}
+        for rec in reversed(records):  # every reader of a tensor comes before its maker
+            if id(rec.output) in longest:
+                met = longest[id(rec.output)] + reads[id(rec.output)]
+                for t, count in zip(rec.inputs, sums(rec)):
+                    longest[id(t)] = max(longest.get(id(t), 0), met + count)
+                    reads[id(t)] = reads.get(id(t), 0) + 1
+        return {key: longest[key] + reads[key] for key in longest}
+
+    def unbounded_parameters(self, config, dtype, monkeypatch):
+        """The parameters whose batch gradient leaves the bound around the single-image sum.
+
+        Forward values are bit-equal image by image, so the batch and the
+        single-image passes sum the same terms in different orders; each is
+        within gamma(D) * M of the exact sum (Higham 2002, 3.1), D the
+        roundings a term meets on its way to the parameter (+1 for the sum
+        of the two single-image gradients) and M the sum of |term|, hence
+        the factor 2, as in the conv loop-adjoint oracle.
+        """
+        net = en.Network(seed=5, dtype=dtype, **config)
+        images = self.images(dtype)
+        tape, loss = self.backward_of_outputs(net, np.concatenate(images))
+        batch = {p.name: p.grad.copy() for p in net.parameters()}
+        magnitude = self.magnitudes(net, tape, loss, monkeypatch)
+        met = self.roundings(tape.records, loss)
+        u = np.finfo(dtype).eps / 2
+        bound = {p.name: 2 * gamma(met[id(p.value)] + 1, u) * magnitude[p.name]
+                 for p in net.parameters()}
+        net.zero_grads()
+        for image in images:  # each backward accumulates into the parameters' gradients
+            self.backward_of_outputs(net, image)
+        return [p.name for p in net.parameters()
+                if not np.all(np.abs(batch[p.name] - p.grad) <= bound[p.name])]
+
+    @CONFIGS
+    @DTYPES
+    def test_batch_parameter_gradients_are_the_sum_of_single_image_ones(
+            self, config, dtype, monkeypatch):
+        assert self.unbounded_parameters(config, dtype, monkeypatch) == []
+
+    @CONFIGS
+    @DTYPES
+    def test_a_conv_backward_that_mixes_the_batch_breaks_the_sum(
+            self, config, dtype, monkeypatch):
+        rule = tensor_core.BACKWARD["conv2d"]
+
+        def mixed(rec, grad_out):  # every image takes the batch's summed input gradient
+            grad_x, *rest = rule(rec, grad_out)
+            if grad_x is not None:
+                grad_x = np.broadcast_to(grad_x.sum(axis=0, keepdims=True), grad_x.shape)
+            return (grad_x, *rest)
+
+        monkeypatch.setitem(tensor_core.BACKWARD, "conv2d", mixed)
+        assert self.unbounded_parameters(config, dtype, monkeypatch)

@@ -1,6 +1,7 @@
 """Forward contracts of the tensor core: shapes, values, errors."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -10,16 +11,11 @@ import edgeneck.tensor as tensor_core
 from edgeneck.errors import ContractError, DomainError, ShapeError
 from edgeneck.gradcheck import grad_check
 
-from reference import conv2d_backward_reference, conv2d_reference, linear_reference
+from reference import conv2d_backward_reference, conv2d_reference, gamma, linear_reference
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-def gamma(n, u=2.0 ** -53):
-    """Higham's gamma_n = n*u / (1 - n*u), the relative error bound of an n-term sum."""
-    return n * u / (1 - n * u)
 
 
 def assert_within_rounding_bound(got, x, w, b, spec):
@@ -429,3 +425,44 @@ class TestConcatSliceLinear:
         b = r.standard_normal((1, 3, 1, 1))
         got = en.conv2d(en.Tensor(x), en.Tensor(w), en.Tensor(b)).data
         assert np.max(np.abs(got - linear_reference(x, w, b))) < 1e-12
+
+
+# the operand dims of each op that checks one element type; concat_channels takes a list
+OPERANDS = {
+    "conv2d": [(1, 2, 4, 4), (3, 2, 3, 3), (1, 3, 1, 1)],
+    "add": [(1, 2, 3, 3), (1, 2, 3, 3)],
+    "mul": [(1, 2, 3, 3), (1, 1, 3, 3)],
+    "edge_magnitude": [(1, 1, 3, 3), (1, 1, 3, 3)],
+    "concat_channels": [(1, 1, 3, 3), (1, 2, 3, 3), (1, 3, 3, 3)],
+}
+
+
+def call(op, tensors):
+    return en.concat_channels(tensors) if op == "concat_channels" else getattr(en, op)(*tensors)
+
+
+class TestRefusals:
+    """Every operand position and every axis refuses with ``ContractError`` and its message."""
+
+    @pytest.mark.parametrize("base, odd", [(np.float32, np.float64), (np.float64, np.float32)])
+    @pytest.mark.parametrize("op, at", [(op, at) for op, dims in OPERANDS.items()
+                                        for at in range(len(dims))])
+    def test_one_operand_of_another_element_type(self, op, at, base, odd):
+        tensors = [en.Tensor(np.ones(d, odd if i == at else base))
+                   for i, d in enumerate(OPERANDS[op])]
+        message = "operands must share one element type, got ['float32', 'float64']"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            call(op, tensors)
+        assert call(op, [en.Tensor(t.data.astype(base)) for t in tensors]).dtype == base
+
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    @pytest.mark.parametrize("axis", range(4))
+    def test_dims_that_do_not_broadcast_at_one_axis(self, op, axis):
+        a = (2, 3, 4, 5)
+        b = tuple(d + 1 if i == axis else d for i, d in enumerate(a))
+        message = f"dims {a} and {b} are not broadcast-compatible at axis {axis}"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            call(op, [en.Tensor(np.ones(a)), en.Tensor(np.ones(b))])
+        ones = tuple(1 if i == axis else d for i, d in enumerate(a))  # broadcasts either way
+        assert call(op, [en.Tensor(np.ones(a)), en.Tensor(np.ones(ones))]).dims == a
+        assert call(op, [en.Tensor(np.ones(ones)), en.Tensor(np.ones(a))]).dims == a

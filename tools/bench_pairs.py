@@ -13,7 +13,9 @@ and system CPU seconds (``ru_stime``), read with ``resource.getrusage`` on
 the finished child, and ``minflt_per_op``, the run's faults over its
 ``attempted`` operations; an ``infer`` or ``train`` run also keeps its worst
 ``out_rel_err`` (float64 reference, normwise).  Metric directions and bounds
-come from the change's ``BENCHMARK.json``.
+come from the change's ``BENCHMARK.json``.  The report names what it compares:
+each side's ``git rev-parse HEAD`` (marked when tracked files differ from it;
+"unknown" outside a git checkout) and the ``env.*`` lines of its first run.
 """
 
 from __future__ import annotations
@@ -53,6 +55,25 @@ def run_once(checkout, workload, seed, seconds):
     result["extra"].update(("out_rel_err", float(line.split()[2]))
                            for line in lines if line.startswith("out_rel_err = "))
     return result, env
+
+
+def git_head(checkout):
+    """``checkout``'s ``git rev-parse HEAD``, marked when tracked files differ from it.
+
+    "unknown" unless ``checkout`` is the top level of a git work tree (not a
+    directory inside some other repository).
+    """
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+    try:
+        found = git("rev-parse", "--show-toplevel", "HEAD")
+    except OSError:  # no git program
+        return "unknown"
+    lines = found.stdout.split()
+    if found.returncode != 0 or Path(lines[0]).resolve() != Path(checkout).resolve():
+        return "unknown"
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return lines[1] + (" with uncommitted changes" if dirty else "")
 
 
 def _sig(value):
@@ -118,7 +139,8 @@ def main(argv=None):
                  "(RUSAGE_CHILDREN before and after it); minflt_per_op: minflt / attempted; "
                  "out_rel_err: the run's printed worst (infer and train)",
         "quartiles": "numpy.percentile 25/50/75 (linear) over the runs of one side",
-    }, "workloads": {}}
+    }, "sides": {name: {"commit": git_head(getattr(args, name))} for name in ("parent", "change")},
+        "workloads": {}}
     for workload in args.workloads.split(","):
         runs = {"parent": [], "change": []}
         order = []
@@ -128,7 +150,7 @@ def main(argv=None):
             for name in sides:
                 result, env = run_once(getattr(args, name), workload, seed, args.seconds)
                 runs[name].append(result)
-                report.setdefault("env", env)
+                report["sides"][name].setdefault("env", env)
                 print(f"{workload} seed {seed} {name}: "
                       f"p50 {result['metrics']['latency_p50_s']['value']:.6g} s, "
                       f"minflt/op {result['extra']['minflt_per_op']:.0f}", file=sys.stderr)
