@@ -35,8 +35,8 @@ def main():
     print("conv2d: |dL/dw| l2 =", float(np.linalg.norm(w.grad)))
     print("conv2d: |dL/dx| l2 =", float(np.linalg.norm(x.grad)))
 
-    # The gradient checker compares the taped gradient against central
-    # differences.  One call covers every input in the mapping.
+    # The gradient checker compares the taped gradient against complex-step
+    # derivatives.  One call covers every input in the mapping.
     def build(xt, wt):
         y = en.conv2d(xt, wt, spec=en.ConvSpec(padding=(1, 1)))
         return en.sum_all(en.mul(y, y))

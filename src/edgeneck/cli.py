@@ -3,7 +3,7 @@
 Subcommands:
     edge         Sobel edge magnitude of a PGM/PPM image, written as PGM.
     forward      full pipeline on a config, RunReport to stdout.
-    gradcheck    finite-difference verification suite.
+    gradcheck    complex-step gradient verification suite.
     weights      dump parameters, or load a dump and verify bit-exactly.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
@@ -55,7 +55,7 @@ def _build_parser():
     p_fwd.add_argument("--timings", action="store_true",
                        help="include per-stage wall times (non-reproducible lines)")
 
-    p_gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")
+    p_gc = sub.add_parser("gradcheck", help="complex-step gradient verification")
     p_gc.add_argument("--scope", choices=SCOPES, default="ops")
     p_gc.add_argument("--seed", type=parse_seed, default=1)
 

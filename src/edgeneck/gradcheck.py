@@ -1,26 +1,32 @@
-"""Finite-difference verification of reverse-mode gradients.
+"""Complex-step verification of reverse-mode gradients.
 
 :func:`grad_check` compares each probe's analytic directional derivative
-``sum(g * u)`` with the float64 central difference along the unit vector
-``u``: one coordinate (one-hot ``u``), or a seeded random direction over a
-whole input.  The step ``EPS = 1e-5`` balances round-off ``u_mach |f| /
-eps`` against truncation ``eps^2 |f'''| / 6`` (Nocedal and Wright,
-*Numerical Optimization*, section 8.1), keeping both far below ``TOL``.
+``sum(g * u)`` with the complex step ``Im f(x + i H u) / H`` along the unit
+vector ``u``: one coordinate (one-hot ``u``), or a seeded random direction
+over a whole input.  The complex step subtracts nothing, so it has no
+cancellation and is exact to rounding at ``H = 1e-30`` (Squire and Trapp,
+"Using Complex Variables to Estimate Derivatives of Real Functions", SIAM
+Review 1998).  The base forward and backward run on real float64 leaves.
+
 The target runs once, on a tape that lists every op call with its
-arguments and output.  A probe evaluation recomputes only the probed
-input's cone: the listed calls that the input reaches, in their listed
-order, followed by tensor identity through positional and keyword
-arguments and the elements of a list argument (``concat_channels``).  It
-gives them the perturbed tensor and the recomputed outputs in place of the
-base ones, and every other argument is the base forward's own tensor.  That
-equals re-running the target because of two rules of the contract: no
-block picks its op calls by data values, and a target computes only
-through ops.  Each evaluation runs on its own tape; a probe whose two
-evaluations record different ``branch`` entries (it straddles a relu kink
-or a pooling arg-max flip) is skipped and counted.  An input left with no
-verified probe fails the check: nothing was measured about its gradient.
-A probe whose analytic or numeric derivative is not finite scores an
-infinite error, so a NaN gradient fails too.
+arguments, output and record.  A probe recomputes only the probed input's
+cone, once: the listed calls that the input reaches, in their listed order,
+through positional and keyword arguments and the elements of a list
+argument (``concat_channels``).  Each cone is compiled once per input with
+the argument positions that hold a cone tensor; a probe fills only those,
+and every other argument is the base forward's own tensor.  That equals
+re-running the target because of two rules of the contract: no block picks
+its op calls by data values, and a target computes only through ops.
+
+Ops order complex values by real part first, so a probe keeps the base
+forward's branch except at an exact real tie (relu at 0, tied pooling
+candidates, ``edge_magnitude`` at ``(0, 0)``), where the imaginary part
+picks one.  So each recomputed call's ``branch`` entry is compared with the
+base forward's record of that call, calls on a tape the target opens itself
+included, and a probe with a differing entry is skipped and counted.  An
+input left with no verified probe fails the check: nothing was measured
+about its gradient.  A probe whose analytic or numeric derivative is not
+finite scores an infinite error, so a NaN gradient fails too.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ import numpy as np
 from .errors import ContractError
 from .tensor import Tensor, Tape, backward
 
-EPS = 1e-5
-TOL = 1e-6
+H = 1e-30
+TOL = 1e-10
 
 
 @dataclass
@@ -57,7 +63,6 @@ class GradCheckEntry:
 @dataclass
 class GradCheckReport:
     entries: list
-    eps: float
     tol: float
 
     @property
@@ -98,80 +103,104 @@ def _rel_err(analytic, numeric):
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 
-def _tensors(arg):
-    """What an op argument passes: the elements of a list, else the argument itself."""
-    return arg if isinstance(arg, (list, tuple)) else (arg,)
+def _cones(calls, leaves):
+    """Per leaf, the listed ``calls`` it reaches, in listed order.
 
-
-def _cone(calls, arg_ids, leaf):
-    """The ``((op, args, kwargs), out)`` entries of the listed ``calls`` that ``leaf`` reaches.
-
-    ``arg_ids`` holds each call's set of argument ids; the entries keep the listed order.
+    One pass carries, per tensor, the bit mask of the leaves that reach it,
+    through positional and keyword arguments and the elements of a list
+    argument.
     """
-    reached = {id(leaf)}
+    reach = {id(leaf): 1 << k for k, leaf in enumerate(leaves)}
+    cones = [[] for _ in leaves]
+    for call in calls:
+        (_, args, kwargs), result, _ = call
+        mask = 0
+        for arg in (*args, *kwargs.values()):
+            for t in arg if isinstance(arg, (list, tuple)) else (arg,):
+                mask |= reach.get(id(t), 0)
+        if mask:
+            reach[id(result)] = mask
+            while mask:
+                cones[(mask & -mask).bit_length() - 1].append(call)
+                mask &= mask - 1
+    return cones
+
+
+def _compile(calls, leaf, out):
+    """``leaf``'s cone ``calls``, ready to recompute, and the slot of ``out``.
+
+    Slot 0 is ``leaf``, slot ``k`` the output of call ``k - 1``; the slot
+    of ``out`` is ``None`` when the cone misses it.  Each compiled call is
+    ``(op, args, kwargs, subs, branch)``: private copies of its arguments
+    (a list argument copied too), the ``(container, key, slot)`` positions
+    in them that hold a cone tensor, and the base forward's ``branch``
+    entry or ``None``.
+    """
+    slots = {id(leaf): 0}
     cone = []
-    for call, ids in zip(calls, arg_ids):
-        if not reached.isdisjoint(ids):
-            reached.add(id(call[1]))
-            cone.append(call)
-    return cone
+    for (op, args, kwargs), result, rec in calls:
+        args, kwargs = list(args), dict(kwargs)
+        subs = []
+        for box, keys in ((args, range(len(args))), (kwargs, list(kwargs))):
+            for key in keys:
+                arg = box[key]
+                if isinstance(arg, (list, tuple)):
+                    box[key] = arg = list(arg)
+                    subs += [(arg, j, slots[id(t)]) for j, t in enumerate(arg) if id(t) in slots]
+                elif id(arg) in slots:
+                    subs.append((box, key, slots[id(arg)]))
+        slots[id(result)] = len(cone) + 1
+        cone.append((op, args, kwargs, subs, None if rec is None else rec.saved.get("branch")))
+    return cone, slots.get(id(out))
 
 
-def _swap(arg, new):
-    """What ``new`` maps ``arg``'s id to, else ``arg``; a list or tuple has each element swapped."""
-    got = new.get(id(arg))
-    if got is not None:
-        return got
-    if isinstance(arg, (list, tuple)):
-        return [new.get(id(t), t) for t in arg]
-    return arg
+def _derivative(cone, end, point):
+    """``Im(out) / H`` with the cone recomputed from the complex ``point``, on a tape of its own.
 
-
-def _central(cone, leaf, step, out):
-    """Central difference of ``out`` along the unit vector ``step`` (dims of ``leaf``).
-
-    Each evaluation gives ``leaf``'s cone a fresh tensor in its place and
-    recomputes it on a tape of its own; ``out`` is read recomputed, or as
-    it is when the cone misses it.  Returns ``None`` when the two
-    evaluations take different branches (the probe straddles a kink), so
-    the quotient would be meaningless.
+    ``end`` is the slot of ``out`` (``None``: the cone misses it, whose
+    imaginary part is then 0).  Returns ``None`` as soon as a recomputed
+    call's ``branch`` entry differs from the base forward's: the probe sits
+    on a kink.
     """
-    values = []
-    branches = []
-    move = EPS * step
-    for data in (leaf.data + move, leaf.data - move):
-        new = {id(leaf): Tensor(data, requires_grad=True)}
-        with Tape() as tape:
-            for (op, args, kwargs), base in cone:
-                if kwargs:
-                    kwargs = {k: _swap(v, new) for k, v in kwargs.items()}
-                new[id(base)] = op(*[_swap(a, new) for a in args], **kwargs)
-        values.append(new.get(id(out), out).item())
-        branches.append([rec.saved["branch"] for rec in tape.records if "branch" in rec.saved])
-    for a, b in zip(*branches):
-        if a.shape != b.shape or not (a == b).all():
-            return None
-    return (values[0] - values[1]) / (2.0 * EPS)
+    values = [Tensor(point, requires_grad=True)]
+    with Tape() as tape:
+        for op, args, kwargs, subs, branch in cone:
+            for box, key, slot in subs:
+                box[key] = values[slot]
+            values.append(op(*args, **kwargs))
+            if branch is not None:
+                got = tape.records[-1].saved["branch"]
+                if got.shape != branch.shape or not (got == branch).all():
+                    return None
+    return 0.0 if end is None else values[end].data.item().imag / H
 
 
-def _steps(dims, rng, shuffled, directional):
-    """Unit vectors to probe an input of ``dims`` along, each with its row-major flat index.
+def _probes(leaf, analytic, rng, shuffled, directional):
+    """``(point, slope, at)`` for each probe of ``leaf`` along a unit vector ``u``.
 
-    A one-hot step yields the index of its coordinate, a direction ``None``.
+    ``point`` is the complex ``x + i H u``, ``slope`` the analytic ``sum(g *
+    u)`` and ``at`` the row-major flat index of a one-hot ``u`` (``None``
+    for a direction).  A one-hot probe sets one imaginary element of one
+    complex copy of the leaf, and clears it when the next probe is drawn.
     """
     if directional:
         while True:
-            u = rng.standard_normal(dims)
-            yield u / np.linalg.norm(u), None
-    flat = np.arange(np.prod(dims))
+            u = rng.standard_normal(leaf.dims)
+            u /= np.linalg.norm(u)
+            point = leaf.data.astype(np.complex128)
+            point.imag = H * u
+            yield point, float(np.vdot(analytic, u)), None
+    point = leaf.data.astype(np.complex128)
+    imag = point.imag
+    flat = np.arange(point.size)
     for i in flat[rng.permutation(flat.size)] if shuffled else flat:
-        step = np.zeros(dims)
-        step.flat[i] = 1.0
-        yield step, i
+        imag.flat[i] = H
+        yield point, float(analytic.flat[i]), i
+        imag.flat[i] = 0.0
 
 
 def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
-    """Check ``fn``'s gradients at the given point, with step ``EPS`` and tolerance ``TOL``.
+    """Check ``fn``'s gradients at the given point, with step ``H`` and tolerance ``TOL``.
 
     ``fn`` takes one tensor per entry of ``inputs`` (a mapping from label
     to tensor or array, in order) and returns a 1x1x1x1 scalar.  The check
@@ -207,25 +236,23 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     if out.requires_grad:  # else no input reaches it: every analytic gradient stays zero
         backward(tape, out)
 
-    arg_ids = [{id(t) for arg in (*args, *kwargs.values()) for t in _tensors(arg)}
-               for (_, args, kwargs), _ in tape.calls]
     entries = []
-    for label, leaf in leaves.items():
-        cone = _cone(tape.calls, arg_ids, leaf)
+    for (label, leaf), calls in zip(leaves.items(), _cones(tape.calls, leaves.values())):
+        cone, end = _compile(calls, leaf, out)
         analytic = np.zeros(leaf.dims) if leaf.grad is None else leaf.grad
         target = max_coords or (1 if directional else leaf.data.size)
-        steps = _steps(leaf.dims, rng, max_coords is not None, directional)
+        probes = _probes(leaf, analytic, rng, max_coords is not None, directional)
         probed = 0
         skipped = 0
         worst = 0.0
         worst_at = None
         # skipped probes draw replacements, within a bounded budget
-        for step, at in islice(steps, max(6 * target, target + 12)):
-            numeric = _central(cone, leaf, step, out)
+        for point, slope, at in islice(probes, max(6 * target, target + 12)):
+            numeric = _derivative(cone, end, point)
             if numeric is None:
                 skipped += 1
                 continue
-            err = _rel_err(float(np.vdot(analytic, step)), numeric)
+            err = _rel_err(slope, numeric)
             probed += 1
             if err > worst:
                 worst = err
@@ -235,4 +262,4 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
         worst_coord = None if worst_at is None else tuple(
             map(int, np.unravel_index(worst_at, leaf.dims)))
         entries.append(GradCheckEntry(label, probed, skipped, worst, worst_coord))
-    return GradCheckReport(entries, EPS, TOL)
+    return GradCheckReport(entries, TOL)

@@ -9,14 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ContractError
+from .tensor import DTYPE_NAMES
+
 
 def tensor_stats(arr):
-    """min/max/mean/L2 of an array: sums accumulated in f64, extrema read in its own dtype.
+    """min/max/mean/L2 of an f32 or f64 array: sums accumulated in f64, extrema in its own dtype.
 
     Widening to f64 is exact and an extremum does not depend on order, so
     the extrema equal those of the f64 copy without reading it.
     """
     arr = np.asarray(arr)
+    if arr.dtype not in DTYPE_NAMES:
+        raise ContractError(f"report statistics need float32 or float64, got {arr.dtype}")
     data = arr.astype(np.float64)  # always a copy, even of an f64 array: squared in place
     mean = data.mean()
     np.multiply(data, data, out=data)

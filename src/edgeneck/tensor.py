@@ -1,12 +1,13 @@
 """Dense 4-D tensors, the differentiable kernel set, and the reverse-mode tape.
 
 Everything in this library moves through one currency: a contiguous
-row-major ``(N, C, H, W)`` float buffer.  All ops are pure functions over
+row-major ``(N, C, H, W)`` float buffer (complex128 only inside the
+gradient checker's probes).  All ops are pure functions over
 immutable tensors.  While a :class:`Tape` is active, ops whose result
 depends on a gradient-carrying tensor append a record; :func:`backward`
 walks those records in exact reverse creation order and accumulates
 ``d(root)/d(leaf)`` into the ``grad`` of every leaf it reaches, made on first reach.
-Every active tape also lists every op call with its arguments and output.
+Every active tape also lists every op call with its arguments, output and record.
 
 Convolution uses the cross-correlation convention (no kernel flip) and is
 lowered to im2col plus matrix multiplies (GEMM), forward and backward.
@@ -37,7 +38,9 @@ import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError, UsageError
 
-DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}  # what a run computes in
+# a tensor may also hold complex128: the gradient checker's complex-step probes
+_ELEMENT_NAMES = {**DTYPE_NAMES, np.dtype(np.complex128): "c128"}
 
 
 class Tensor:
@@ -55,8 +58,9 @@ class Tensor:
         arr = np.asarray(data)
         if arr.ndim != 4:
             raise ContractError(f"tensor data must be 4-D (N,C,H,W), got shape {arr.shape}")
-        if arr.dtype not in DTYPE_NAMES:
-            raise ContractError(f"unsupported element type {arr.dtype}; use float32 or float64")
+        if arr.dtype not in _ELEMENT_NAMES:
+            raise ContractError(
+                f"unsupported element type {arr.dtype}; use float32, float64 or complex128")
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -71,7 +75,7 @@ class Tensor:
 
     @property
     def dtype_name(self):
-        return DTYPE_NAMES[self.data.dtype]
+        return _ELEMENT_NAMES[self.data.dtype]
 
     def item(self):
         if self.data.size != 1:
@@ -122,7 +126,7 @@ class TapeRecord:
 
     An op that takes a branch (a relu mask, a pool arg-max) saves that
     decision under ``"branch"``; its backward rule reads it from there,
-    and the gradient checker compares it between probe evaluations.
+    and the gradient checker compares it with a probe's recomputation.
     """
 
     op: str
@@ -136,9 +140,10 @@ class Tape:
 
     Use as a context manager.  While it is active, every op call, made on
     it or on a tape opened inside it, is listed in ``calls`` as
-    ``((op, args, kwargs), output)``.  While it is the innermost active
-    tape, every op whose output depends on a gradient-carrying tensor
-    appends a record.
+    ``((op, args, kwargs), output, record)``, ``record`` being the
+    :class:`TapeRecord` the call appended to the innermost tape, or
+    ``None``.  While it is the innermost active tape, every op whose
+    output depends on a gradient-carrying tensor appends a record.
     """
 
     def __init__(self):
@@ -185,12 +190,14 @@ def _record(op, inputs, data, branch=None, **saved):
 
 
 def _listed(op):
-    """``op``, each call listed on every active tape."""
+    """``op``, each call listed on every active tape with the record it made."""
     @functools.wraps(op)
     def call(*args, **kwargs):
         out = op(*args, **kwargs)
         if _TAPE_STACK:
-            entry = ((op, args, kwargs), out)
+            records = _TAPE_STACK[-1].records
+            rec = records[-1] if records and records[-1].output is out else None
+            entry = ((op, args, kwargs), out, rec)
             for tape in _TAPE_STACK:
                 tape.calls.append(entry)
         return out
@@ -241,17 +248,27 @@ class ConvSpec:
         return oh, ow
 
 
-def _same_dtype(*tensors):
-    """Refuse operands of more than one element type; a ``None`` operand (no bias) is skipped.
+# the result type where float64 meets complex128: a complex-step probe reached one operand
+MIXED_DTYPES = {(np.dtype(np.float64), np.dtype(np.complex128)): np.dtype(np.complex128),
+                (np.dtype(np.complex128), np.dtype(np.float64)): np.dtype(np.complex128)}
 
-    Each ``data.dtype`` is compared with the first operand's in a plain loop,
-    which allocates nothing; only a refusal builds the sorted set that words it.
+
+def _same_dtype(*tensors):
+    """The operands' result element type; a ``None`` operand (no bias) is skipped.
+
+    Operands share one element type, except that float64 and complex128
+    mix into complex128; float32 meets neither.  Each ``data.dtype`` is
+    compared with the type so far in a plain loop, which allocates nothing;
+    only a refusal builds the sorted set that words it.
     """
     dtype = tensors[0].data.dtype
     for t in tensors:
         if t is not None and t.data.dtype != dtype:
-            names = sorted({str(u.data.dtype) for u in tensors if u is not None})
-            raise ContractError(f"operands must share one element type, got {names}")
+            dtype = MIXED_DTYPES.get((dtype, t.data.dtype))
+            if dtype is None:
+                names = sorted({str(u.data.dtype) for u in tensors if u is not None})
+                raise ContractError(f"operands must share one element type, got {names}")
+    return dtype
 
 
 def _reduce_broadcast(grad, dims):
@@ -275,7 +292,7 @@ def conv2d(x, weight, bias=None, spec=ConvSpec()):
     so it is deterministic on one machine but not bit-exact across
     platforms.
     """
-    _same_dtype(x, weight, bias)
+    dtype = _same_dtype(x, weight, bias)
     n, c, h, w = x.data.shape
     c_out, c_in, kh, kw = weight.data.shape
     if c_in != c:
@@ -284,7 +301,8 @@ def conv2d(x, weight, bias=None, spec=ConvSpec()):
         raise ContractError(f"bias dims {bias.dims} != (1, {c_out}, 1, 1)")
     oh, ow = spec.out_hw(h, w, kh, kw)
 
-    out = _conv_forward(x.data, weight.data, None if bias is None else bias.data, spec, oh, ow)
+    out = _conv_forward(x.data, weight.data, None if bias is None else bias.data, spec, oh, ow,
+                        dtype)
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _record("conv2d", inputs, out, spec=spec)
 
@@ -329,20 +347,27 @@ def _tile(count, unit_bytes):
     return max(1, min(count, _TILE_BYTES // max(1, unit_bytes)))
 
 
-def _conv_forward(xd, wd, bias_d, spec, oh, ow):
+def _conv_forward(xd, wd, bias_d, spec, oh, ow, dtype):
+    """The conv output as ``dtype``, the operands' result type (complex if any operand is)."""
     n, c = xd.shape[:2]
     c_out, _, kh, kw = wd.shape
     k = c * kh * kw
-    out = np.empty((n, c_out, oh * ow), xd.dtype)  # the row tiles write every element
+    out = np.empty((n, c_out, oh * ow), dtype)  # the row tiles write every element
     if out.size:
         xp = _padded(xd, spec.padding)
         w2 = wd.reshape(c_out, k)
+        # complex x against a real w: one real GEMM over the columns read as
+        # interleaved (re, im) pairs, half the work of a complex GEMM
+        pair = 2 if xd.dtype == np.complex128 and wd.dtype == np.float64 else 1
+        sink = out.view(np.float64) if pair == 2 else out
         step = _tile(oh, n * k * ow * xd.itemsize)
         for row0 in range(0, oh, step):
             rows = min(step, oh - row0)
             # a view for an unpadded 1x1 stride-1 conv; otherwise the im2col copy
             cols = _taps(xp, kh, kw, spec, 0, c, row0, rows, ow).reshape(n, k, rows * ow)
-            np.matmul(w2, cols, out=out[:, :, row0 * ow:(row0 + rows) * ow])
+            if pair == 2:  # a strided 1x1 conv's one-row view is not contiguous
+                cols = np.ascontiguousarray(cols).view(np.float64)
+            np.matmul(w2, cols, out=sink[:, :, pair * row0 * ow:pair * (row0 + rows) * ow])
     out = out.reshape(n, c_out, oh, ow)
     if bias_d is not None:
         out += bias_d
@@ -484,13 +509,16 @@ def edge_magnitude(gx, gy):
 
     A fused op: composing sqrt, add and square would send an infinite
     factor through the chain where both inputs vanish, while the magnitude
-    itself has a well-defined (sub)gradient of zero there.
+    itself has a well-defined (sub)gradient of zero there.  The branch is
+    ``|mag| > 0``: a complex-step probe at a real (0, 0) reads a magnitude
+    of ``±i c``, whose sign the principal square root picks from the sign
+    of a zero, so ``mag > 0`` would keep the base branch for ``-i c``.
     """
     _same_dtype(gx, gy)
     if gx.dims != gy.dims:
         raise ContractError(f"edge_magnitude dims differ: {gx.dims} vs {gy.dims}")
     mag = np.sqrt(gx.data * gx.data + gy.data * gy.data)
-    return _record("edge_magnitude", (gx, gy), mag, branch=lambda: mag > 0)
+    return _record("edge_magnitude", (gx, gy), mag, branch=lambda: np.abs(mag) > 0)
 
 
 def _edge_magnitude_backward(rec, grad_out):

@@ -143,7 +143,7 @@ def block_checks(seed=1):
 def pipeline_check(seed=1):
     """One end-to-end check: loss over all pyramid outputs, every parameter.
 
-    Each input is probed along one random direction: two forwards per input.
+    Each input is probed along one random direction: one complex cone evaluation per input.
     """
     def run():
         net = Network(seed=seed, channels=(4, 8, 8, 16, 16), pyramid_width=8,

@@ -45,44 +45,52 @@ def conv_kernels(monkeypatch):
 
 @pytest.fixture
 def rerun_probes(monkeypatch):
-    """Call it to make later checks re-run their target whole at every probe evaluation.
+    """Call it to make later checks re-run their target whole at every probe.
 
-    Each evaluation calls the target on a fresh tape with a fresh tensor in
-    the probed input's place and compares all the ``branch`` entries of its
-    tape: the reference that recomputing only an input's cone must equal.
-    Checks made through ``gradcheck.grad_check`` or ``verify.grad_check``
-    are affected.
+    Each probe calls the target on a fresh tape with the complex point
+    ``x + i H u`` in the probed input's place, compares the ``branch``
+    entry of every call it lists with the base forward's entry for that
+    call, and reads ``Im(out) / H``: the reference that recomputing only
+    an input's compiled cone must equal.  Checks made through
+    ``gradcheck.grad_check`` or ``verify.grad_check`` are affected.
     """
     from edgeneck import gradcheck, verify
     from edgeneck.tensor import Tape, Tensor
+
+    def branches(calls):
+        return [None if rec is None else rec.saved.get("branch") for _, _, rec in calls]
+
+    def same(a, b):
+        return a is b is None or (a is not None and b is not None and np.array_equal(a, b))
 
     def install():
         original = gradcheck.grad_check
         base = {}
 
         def grad_check(fn, inputs, *args, **kwargs):
-            def taped(*leaves):  # the check's one call of its target
+            def taped(*leaves):  # the check's one call of its target, on the check's tape
                 base["fn"], base["leaves"] = fn, leaves
+                base["calls"] = tensor_core._TAPE_STACK[-1].calls
                 return fn(*leaves)
             return original(taped, inputs, *args, **kwargs)
 
-        def central(cone, leaf, step, out):
-            fn, leaves = base["fn"], list(base["leaves"])
-            i = next(k for k, t in enumerate(leaves) if t is leaf)
-            values = []
-            branches = []
-            for sign in (gradcheck.EPS, -gradcheck.EPS):
-                leaves[i] = Tensor(leaf.data + sign * step, requires_grad=True)
-                with Tape() as tape:
-                    values.append(fn(*leaves).item())
-                branches.append([rec.saved["branch"] for rec in tape.records
-                                 if "branch" in rec.saved])
-            if not all(map(np.array_equal, *branches)):
+        def compile_only_the_leaf(calls, leaf, out):
+            return leaf, None
+
+        def rerun(leaf, end, point):
+            leaves = list(base["leaves"])
+            leaves[next(k for k, t in enumerate(leaves) if t is leaf)] = Tensor(
+                point, requires_grad=True)
+            with Tape() as tape:
+                value = base["fn"](*leaves).data.item().imag / gradcheck.H
+            got, want = branches(tape.calls), branches(base["calls"])
+            if len(got) != len(want) or not all(map(same, got, want)):
                 return None
-            return (values[0] - values[1]) / (2.0 * gradcheck.EPS)
+            return value
 
         monkeypatch.setattr(gradcheck, "grad_check", grad_check)
         monkeypatch.setattr(verify, "grad_check", grad_check)
-        monkeypatch.setattr(gradcheck, "_central", central)
+        monkeypatch.setattr(gradcheck, "_compile", compile_only_the_leaf)
+        monkeypatch.setattr(gradcheck, "_derivative", rerun)
 
     return install

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import edgeneck as en
+from edgeneck import gradcheck
 from edgeneck.edge_attention import ChannelAttention
 from edgeneck.netpbm import read_image, write_image
 from edgeneck.verify import checks_for_scope
@@ -40,14 +41,15 @@ def criterion(capsys):
 
 
 def test_gradient_suite(criterion):
-    with criterion("gradient suite: ops, blocks, pipeline at eps=1e-5, tol 1e-6, < 300 s"):
+    with criterion("gradient suite: ops, blocks, pipeline at complex step 1e-30, tol 1e-10, "
+                   "< 300 s"):
         started = time.perf_counter()
+        assert gradcheck.H == 1e-30
         for label, thunk in checks_for_scope("all", seed=1):
             report = thunk()
-            assert report.eps == 1e-5, label
-            assert report.tol == 1e-6, label
+            assert report.tol == 1e-10, label
             assert report.ok, f"{label}: {report.format()}"
-            assert report.max_rel_err < 1e-6, label
+            assert report.max_rel_err < 1e-10, label
         assert time.perf_counter() - started < 300.0
 
 

@@ -196,9 +196,9 @@ def test_calls_on_an_inner_tape_are_recomputed(conv_kernels, rerun_probes):
               "w2": rng(18).standard_normal((2, 3, 1, 1))}
     report = gradcheck.grad_check(_inner_taped, inputs)
     assert report.ok
-    # the base forward computes all three convs; each probe evaluation
+    # the base forward computes all three convs; each probe's one evaluation
     # computes two for x and w1 and one for w2, and reuses the guide's
-    assert len(conv_kernels) == 3 + 2 * (2 * 32 + 2 * 54 + 1 * 6)
+    assert len(conv_kernels) == 3 + (2 * 32 + 2 * 54 + 1 * 6)
     rerun_probes()
     assert gradcheck.grad_check(_inner_taped, inputs).entries == report.entries
 
@@ -213,7 +213,7 @@ def test_a_leaf_dependent_call_on_an_inner_tape_is_recomputed(rerun_probes):
     inputs = {"x": rng(22).standard_normal((1, 2, 4, 4)),
               "w": rng(23).standard_normal((3, 2, 3, 3))}
     report = gradcheck.grad_check(hidden, inputs)
-    # the analytic gradient misses the conv, the central difference does not
+    # the analytic gradient misses the conv, the complex step does not
     assert [e.max_rel_err > 0.5 for e in report.entries] == [True, True]
     assert not report.ok
     rerun_probes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgeneck import BACKWARD, Network, verify
+from edgeneck.errors import ContractError
 from edgeneck.netpbm import read_image, write_image
 from edgeneck.report import parse_report, tensor_stats
 from edgeneck.weights import MAGIC, VERSION, pack_entries, read_container, unpack_entries
@@ -145,6 +146,16 @@ class TestForward:
         assert {k: repr(v) for k, v in tensor_stats(arr).items()} == \
             {k: repr(v) for k, v in want.items()}
         assert arr.tobytes() == wide.astype(dtype).tobytes()  # squared in a copy, never in place
+
+    def test_complex128_report_refused(self):
+        with pytest.raises(ContractError, match="need float32 or float64, got complex128"):
+            tensor_stats(np.zeros((1, 1, 2, 2), np.complex128))
+
+    def test_complex128_dtype_exits_2(self, run_cli, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SMALL_CFG + "dtype = c128\n")
+        code, out, err = run_cli("forward", "--config", cfg)
+        assert code == 2 and "dtype must be one of ('f32', 'f64')" in err and out == ""
 
     def test_timings_lines_only_on_request(self, run_cli, small_cfg):
         _, plain, _ = run_cli("forward", "--config", small_cfg)

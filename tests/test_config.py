@@ -83,6 +83,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="dtype"):
             parse_config("dtype=f16\n")
 
+    def test_complex128_refused(self):
+        # a tensor may hold complex128 for a gradient check's probe; a run may not
+        with pytest.raises(ConfigError, match=r"dtype must be one of \('f32', 'f64'\)"):
+            parse_config("dtype=c128\n")
+
     def test_bad_input(self):
         with pytest.raises(ConfigError):
             parse_config("input=\n")

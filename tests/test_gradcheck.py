@@ -1,4 +1,4 @@
-"""The finite-difference checker itself: passes, failures, kink guard."""
+"""The complex-step checker itself: passes, failures, kink guard."""
 
 import math
 
@@ -9,7 +9,7 @@ import edgeneck as en
 import edgeneck.tensor as tensor_core
 from edgeneck import gradcheck, verify
 from edgeneck.errors import ContractError
-from edgeneck.gradcheck import EPS, grad_check
+from edgeneck.gradcheck import H, grad_check
 from edgeneck.tensor import BACKWARD
 from edgeneck.verify import block_checks, op_checks, pipeline_check, run_checks
 
@@ -40,8 +40,8 @@ def test_sigmoid_chain_is_tight():
 
 
 def test_kink_straddling_probes_are_skipped():
-    # every input sits within eps of the relu kink: nothing is probeable
-    x = np.full((1, 1, 2, 2), EPS / 10)
+    # every input sits on the relu kink: +iH picks the other branch, nothing is probeable
+    x = np.zeros((1, 1, 2, 2))
     report = grad_check(lambda t: en.sum_all(en.relu(t)), {"x": x})
     entry = report.entries[0]
     assert entry.probed == 0
@@ -53,28 +53,65 @@ def test_kink_straddling_probes_are_skipped():
 
 @pytest.mark.parametrize("pool", [en.global_max_pool, en.down2_max], ids=lambda op: op.__name__)
 def test_pool_argmax_flip_is_guarded(pool):
-    # four elements EPS / 10 apart: probing any of them straddles an argmax flip
-    x = 1.0 + EPS / 10 * np.arange(4.0).reshape(1, 1, 2, 2)
+    # four tied elements: +iH on any but the first, the base arg-max, moves the arg-max there
+    x = np.ones((1, 1, 2, 2))
     report = grad_check(lambda t: en.sum_all(pool(t)), {"x": x})
     entry = report.entries[0]
-    assert (entry.probed, entry.skipped) == (0, 4)
-    assert not report.ok
-    assert report.unprobed == ["x"]
+    assert (entry.probed, entry.skipped) == (1, 3)
+    assert report.ok  # the base arg-max's probe keeps the branch and reads its derivative, 1
+    assert entry.max_rel_err == 0.0
 
 
 def test_edge_magnitude_zero_crossing_is_guarded():
-    # gx = EPS, gy = 0: every gx probe lands exactly on the (0, 0) kink
+    # gx = 0 at the (0, 0) kink, gy = 0 there too but 1 beside it: a probe of either
+    # input at (0, 0) reads the magnitude iH, positive where the base one is 0
+    gy = np.array([0.0, 0.0, 1.0, 1.0]).reshape(1, 1, 2, 2)
     report = grad_check(lambda gx, gy: en.sum_all(en.edge_magnitude(gx, gy)),
-                        {"gx": np.full((1, 1, 2, 2), EPS), "gy": np.zeros((1, 1, 2, 2))})
+                        {"gx": np.zeros((1, 1, 2, 2)), "gy": gy})
     gx, gy = report.entries
-    assert (gx.probed, gx.skipped) == (0, 4)
-    assert (gy.probed, gy.skipped) == (4, 0)
+    assert (gx.probed, gx.skipped) == (2, 2)
+    assert (gy.probed, gy.skipped) == (2, 2)
+    assert report.ok  # away from the kink, d|g|/dgx = 0 and d|g|/dgy = 1 are read exactly
+    assert report.max_rel_err == 0.0
+
+
+def test_a_flat_image_sits_on_the_edge_magnitude_kink_everywhere():
+    """Sobel of a flat patch is (0, 0): every probe reads imaginary magnitudes of either sign.
+
+    A probe at the corner reads only negative ones; the guard must skip it too.
+    """
+    report = grad_check(lambda t: en.sum_all(en.edge_map(t)), {"x": np.ones((1, 1, 5, 5))})
+    assert [(e.probed, e.skipped) for e in report.entries] == [(0, 25)]
+    assert report.max_rel_err == 0.0
+
+
+def test_an_input_left_with_only_kinks_is_unprobed():
+    report = grad_check(lambda gx, gy: en.sum_all(en.edge_magnitude(gx, gy)),
+                        {"gx": np.zeros((1, 1, 2, 2)), "gy": np.zeros((1, 1, 2, 2))})
+    assert [(e.probed, e.skipped) for e in report.entries] == [(0, 4), (0, 4)]
     assert not report.ok
-    assert report.unprobed == ["gx"]
-    assert report.max_rel_err < report.tol  # the failure is the unprobed input, not an error
+    assert report.unprobed == ["gx", "gy"]
+    assert report.max_rel_err < report.tol  # the failure is the unprobed inputs, not an error
     lines = []
     assert not run_checks([("op.edge", lambda: report)], emit=lines.append)
-    assert lines[0].startswith("op.edge: FAILED") and lines[0].endswith(" unprobed=gx")
+    assert lines[0].startswith("op.edge: FAILED") and lines[0].endswith(" unprobed=gx,gy")
+
+
+def test_a_branch_taken_on_an_inner_tape_is_guarded(rerun_probes):
+    """The guard compares a call made on the target's own inner tape with its base record too."""
+    def inner_relu(x):
+        with en.Tape():  # the relu's record, and its branch, go to this tape only
+            r = en.relu(x)
+        return en.sum_all(r)
+
+    x = np.array([0.0, 0.0, -1.0, 0.0]).reshape(1, 1, 2, 2)
+    report = grad_check(inner_relu, {"x": x})
+    # backward on the check's tape cannot see the relu, so x's analytic gradient is 0,
+    # which the probe at -1 confirms; the three probes at the kink are skipped
+    assert [(e.probed, e.skipped) for e in report.entries] == [(1, 3)]
+    assert report.ok
+    rerun_probes()
+    assert gradcheck.grad_check(inner_relu, {"x": x}).entries == report.entries
 
 
 def test_a_failed_directional_check_names_its_worst_input(monkeypatch):
@@ -94,8 +131,9 @@ def test_a_failed_directional_check_names_its_worst_input(monkeypatch):
 
 
 def test_directional_kink_guard_draws_replacements_within_budget():
-    # every coordinate sits EPS / 10 above the relu kink: almost every direction straddles it
-    report = grad_check(lambda t: en.sum_all(en.relu(t)), {"x": np.full((1, 2, 2, 2), EPS / 10)},
+    # every coordinate sits on the relu kink: a direction keeps the base branch only if it
+    # has no positive component, which none of the 13 drawn has
+    report = grad_check(lambda t: en.sum_all(en.relu(t)), {"x": np.zeros((1, 2, 2, 2))},
                         rng=rng(9), directional=True)
     entry = report.entries[0]
     assert (entry.probed, entry.skipped) == (0, 13)
@@ -143,17 +181,19 @@ def test_probe_draw_order_is_pinned(seed):
     grad_check(fn, start, rng=rng(seed), max_coords=5)
     assert [label for label, _ in seen[:2]] == ["a", "b"]  # the taped forward
     assert all(np.array_equal(data, start[label]) for label, data in seen[:2])
-    # the one coordinate that differs from the check point is the one being probed
+    # the one coordinate that differs from the check point is the one being probed, moved by iH
     perturbed = [(label, tuple(c)) for label, data in seen[2:]
                  for c in np.argwhere(data != start[label])]
     assert len(perturbed) == len(seen) - 2
+    assert all(np.array_equal(data.real, start[label]) and data.imag.sum() == H
+               for label, data in seen[2:])
     draw = rng(seed)
     want = []
     for label, data in start.items():
         everywhere = np.ones(data.shape, bool)
         want += [(label, tuple(c))
                  for c in np.argwhere(everywhere)[draw.permutation(data.size)][:5]]
-    assert perturbed[::2] == perturbed[1::2] == want  # one +eps and one -eps call per probe
+    assert perturbed == want  # one evaluation per probe
 
 
 def test_directional_probe_moves_each_input_along_one_unit_direction():
@@ -172,12 +212,12 @@ def test_directional_probe_moves_each_input_along_one_unit_direction():
     draw = rng(13)
     u = [draw.standard_normal(d) for d in (a0.shape, b0.shape)]
     u = [v / np.linalg.norm(v) for v in u]
-    # the taped forward notes both inputs, then each evaluation only the input it moves
-    assert [label for label, _ in seen] == ["a", "b", "a", "a", "b", "b"]
+    # the taped forward notes both inputs, then each probe's evaluation only the input it moves
+    assert [label for label, _ in seen] == ["a", "b", "a", "b"]
     starts = {"a": a0, "b": b0}
-    for (label, data), want in zip(seen, (0, 0, u[0], -u[0], u[1], -u[1])):
-        np.testing.assert_allclose(data - starts[label], EPS * np.asarray(want),
-                                   rtol=1e-9, atol=1e-20)
+    for (label, data), want in zip(seen, (0, 0, u[0], u[1])):
+        assert np.array_equal(data.real, starts[label])
+        np.testing.assert_allclose(data.imag, H * np.asarray(want), rtol=1e-15, atol=0)
 
 
 def test_probes_leave_an_enclosing_tape_untouched():
@@ -238,9 +278,9 @@ def test_probes_recompute_only_the_convs_their_input_reaches(conv_kernels):
     report = grad_check(_two_convs, _two_conv_inputs())
     assert report.ok
     assert [(e.probed, e.skipped) for e in report.entries] == [(32, 0), (54, 0), (6, 0)]
-    # the taped forward computes both convs, then each of a probe's two evaluations
+    # the taped forward computes both convs, then each probe's one evaluation
     # computes two for x and w1 and one for w2
-    assert len(conv_kernels) == 2 + 2 * (2 * 32 + 2 * 54 + 1 * 6)
+    assert len(conv_kernels) == 2 + (2 * 32 + 2 * 54 + 1 * 6)
 
 
 def _constant_conv_loss(x, scalar=True):
@@ -286,7 +326,7 @@ def test_a_list_element_the_input_reaches_is_recomputed(conv_kernels, rerun_prob
     report = gradcheck.grad_check(_listed_in_concat, _concat_inputs())
     assert report.ok
     assert [(e.probed, e.skipped) for e in report.entries] == [(32, 0), (54, 0), (4, 0)]
-    assert len(conv_kernels) == 1 + 2 * (32 + 54)  # y's probes reuse the conv
+    assert len(conv_kernels) == 1 + (32 + 54)  # y's probes reuse the conv
     rerun_probes()
     assert gradcheck.grad_check(_listed_in_concat, _concat_inputs()).entries == report.entries
 
@@ -303,7 +343,7 @@ def test_a_tensor_passed_by_keyword_is_recomputed(conv_kernels, rerun_probes):
     report = gradcheck.grad_check(_conv_by_keyword, inputs)
     assert report.ok
     assert [(e.probed, e.skipped) for e in report.entries] == [(32, 0), (54, 0), (3, 0)]
-    assert len(conv_kernels) == 1 + 2 * (32 + 54 + 3)
+    assert len(conv_kernels) == 1 + (32 + 54 + 3)
     rerun_probes()
     assert gradcheck.grad_check(_conv_by_keyword, inputs).entries == report.entries
 
@@ -314,7 +354,7 @@ def test_an_input_that_reaches_nothing_computes_no_kernel(conv_kernels):
     report = grad_check(lambda x, w1, w2, unused: _two_convs(x, w1, w2), inputs)
     assert report.ok
     assert report.entries[3].probed == 4 and report.entries[3].max_rel_err == 0.0
-    assert len(conv_kernels) == 2 + 2 * (2 * 32 + 2 * 54 + 1 * 6)  # as without the input
+    assert len(conv_kernels) == 2 + (2 * 32 + 2 * 54 + 1 * 6)  # as without the input
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -326,9 +366,12 @@ def test_every_check_entry_equals_a_full_rerun(rerun_probes, seed):
     assert [run().entries for _, run in checks] == cones
 
 
-@pytest.mark.parametrize("label, count", [("block.edge_attention", 426), ("pipeline.full", 2244)])
+@pytest.mark.parametrize("label, count", [("block.edge_attention", 218), ("pipeline.full", 1152)])
 def test_constant_kernels_are_reused(conv_kernels, label, count):
-    """Probes compute only the convs their input reaches; deep_sobel's kernels are constants."""
+    """Probes compute only the convs their input reaches; deep_sobel's kernels are constants.
+
+    Each count is the base forward's convs plus one cone recomputation per probe.
+    """
     [run] = [run for name, run in block_checks(1) + pipeline_check(1) if name == label]
     conv_kernels.clear()
     run()
@@ -367,7 +410,7 @@ def test_a_raising_block_check_puts_parameter_values_back(monkeypatch):
     before = {name: p.value for name, p in params.items()}
 
     def evaluate_once_then_fail(fn, inputs, **kw):
-        fn(*(en.Tensor(np.asarray(getattr(v, "data", v), np.float64) + EPS)
+        fn(*(en.Tensor(np.asarray(getattr(v, "data", v), np.float64) + 1j * H)
              for v in inputs.values()))
         raise ContractError("stop")
 
@@ -399,12 +442,12 @@ def test_runs_in_float64_regardless_of_input_dtype():
 
 
 def _steep_sigmoid(x):
-    # sigmoid(20 x) near 0: a step of 1e-3 misses by up to 3.6e-5, and EPS by about 3.6e-9
+    # sigmoid(20 x) near 0: a central difference of step 1e-3 misses by up to 3.6e-5
     return en.sum_all(en.sigmoid(en.mul(x, en.Tensor(np.full((1, 1, 1, 1), 20.0, np.float64)))))
 
 
 def test_curved_probe_is_re_estimated():
-    """A strongly curved probe passes on the plain central difference at EPS."""
+    """A strongly curved probe passes: the complex step at H has no truncation to speak of."""
     x = np.linspace(-0.12, 0.12, 6).reshape(1, 1, 2, 3)
     report = grad_check(_steep_sigmoid, {"x": x})
     assert report.ok
@@ -426,15 +469,16 @@ def test_pipeline_passes_at_seeds_1_to_20(seed):
     assert report.ok, report.format()
 
 
-@pytest.mark.parametrize("op", ["conv2d", "sigmoid"])
-def test_pipeline_catches_a_backward_off_by_1e_5(monkeypatch, op):
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("op", ["conv2d", "sigmoid", "global_avg_pool", "global_max_pool"])
+def test_pipeline_catches_a_backward_off_by_1e_5(monkeypatch, op, seed):
     original = BACKWARD[op]
 
     def scaled(rec, grad_out):
         return tuple(None if g is None else g * (1 + 1e-5) for g in original(rec, grad_out))
 
     monkeypatch.setitem(BACKWARD, op, scaled)
-    [(_, run)] = pipeline_check(1)
+    [(_, run)] = pipeline_check(seed)
     assert not run().ok
 
 

@@ -128,6 +128,18 @@ class TestValidation:
         with pytest.raises(ContractError):
             net.forward(en.noise_image(0, 64, 64, np.float32))
 
+    def test_complex128_image_only_on_a_float64_network(self):
+        """A gradient check's complex-step probe of the image runs on the f64 network's weights."""
+        image = en.noise_image(0, 64, 64, np.float64)
+        probe = en.Tensor(image.data + 1j * 1e-30)
+        net = en.Network(seed=0, dtype=np.float64, **SMALL)
+        real, complex_ = net.forward(image).named, net.forward(probe).named
+        assert complex_["out.s8"].dtype == np.complex128
+        assert np.allclose(complex_["out.s8"].data.real, real["out.s8"].data, rtol=1e-12,
+                           atol=1e-12)
+        with pytest.raises(ContractError, match="network built for float32, got complex128"):
+            en.Network(seed=0, **SMALL).forward(probe)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pixel_rejected(self, bad):
         net = en.Network(seed=0, **SMALL)

@@ -59,6 +59,11 @@ class TestTensorType:
         en.backward(tape, loss)
         assert t.grad.shape == t.dims
 
+    def test_complex128_is_named(self):
+        t = en.Tensor(np.zeros((1, 2, 1, 3), np.complex128), requires_grad=True)
+        assert t.dtype_name == "c128"
+        assert repr(t) == "Tensor(1x2x1x3, c128, requires_grad=True)"
+
     def test_item_requires_single_element(self):
         assert en.Tensor(np.full((1, 1, 1, 1), 2.5, np.float32)).item() == 2.5
         with pytest.raises(ContractError):
@@ -118,6 +123,22 @@ class TestConv2d:
         b = r.standard_normal((1, case["w"][0], 1, 1))
         got = en.conv2d(en.Tensor(x), en.Tensor(w), en.Tensor(b), case["spec"]).data
         assert_within_rounding_bound(got, x, w, b, case["spec"])
+
+    @pytest.mark.parametrize("tile_bytes", [None, 1], ids=["default_tiles", "one_row"])
+    @pytest.mark.parametrize("case", CONV_CASES + [
+        dict(x=(2, 3, 5, 7), w=(4, 3, 1, 1), spec=en.ConvSpec(stride=(1, 3)))])  # strided 1x1
+    def test_complex_input_against_real_weight(self, monkeypatch, case, tile_bytes):
+        """A complex-step probe's conv: real and imaginary parts are the real convs of x's parts."""
+        if tile_bytes is not None:
+            monkeypatch.setattr(tensor_core, "_TILE_BYTES", tile_bytes)
+        r = rng(45)
+        x = r.standard_normal(case["x"]) + 1j * r.standard_normal(case["x"])
+        w = r.standard_normal(case["w"])
+        b = r.standard_normal((1, case["w"][0], 1, 1))
+        got = en.conv2d(en.Tensor(x), en.Tensor(w), en.Tensor(b), case["spec"]).data
+        assert got.dtype == np.complex128
+        assert_within_rounding_bound(got.real, x.real, w, b, case["spec"])
+        assert_within_rounding_bound(got.imag, x.imag, w, 0 * b, case["spec"])
 
     @pytest.mark.parametrize("case", [c for c in CONV_CASES if any(c["spec"].padding)])
     def test_padding_is_an_exact_copy(self, case):
@@ -454,6 +475,36 @@ class TestRefusals:
         with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             call(op, tensors)
         assert call(op, [en.Tensor(t.data.astype(base)) for t in tensors]).dtype == base
+
+    @pytest.mark.parametrize("base, odd", [(np.float32, np.complex128),
+                                           (np.complex128, np.float32)])
+    @pytest.mark.parametrize("op, at", [(op, at) for op, dims in OPERANDS.items()
+                                        for at in range(len(dims))])
+    def test_float32_against_complex128(self, op, at, base, odd):
+        tensors = [en.Tensor(np.ones(d, odd if i == at else base))
+                   for i, d in enumerate(OPERANDS[op])]
+        message = "operands must share one element type, got ['complex128', 'float32']"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            call(op, tensors)
+
+    @pytest.mark.parametrize("base, odd", [(np.float64, np.complex128),
+                                           (np.complex128, np.float64)])
+    @pytest.mark.parametrize("op, at", [(op, at) for op, dims in OPERANDS.items()
+                                        for at in range(len(dims))])
+    def test_float64_meets_complex128(self, op, at, base, odd):
+        """A complex-step probe reaches one operand: the result is what all-complex operands give.
+
+        Equal within rounding: a conv of real x and w with a complex bias may run its GEMM real.
+        """
+        r = rng(at)
+        kinds = [odd if i == at else base for i in range(len(OPERANDS[op]))]
+        tensors = [en.Tensor(r.standard_normal(d) + 1j * r.standard_normal(d)
+                             if kind == np.complex128 else r.standard_normal(d))
+                   for d, kind in zip(OPERANDS[op], kinds)]
+        got = call(op, tensors)
+        want = call(op, [en.Tensor(t.data.astype(np.complex128)) for t in tensors])
+        assert got.dtype == np.complex128
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("op", ["add", "mul"])
     @pytest.mark.parametrize("axis", range(4))

@@ -67,6 +67,10 @@ class TestPackValidation:
         with pytest.raises(FormatError, match="dtype"):
             pack_entries({"x": np.zeros((1, 1, 1, 1), np.int32)})
 
+    def test_complex128_rejected(self):
+        with pytest.raises(FormatError, match="unsupported dtype complex128"):
+            pack_entries({"x": np.zeros((1, 1, 1, 1), np.complex128)})
+
     def test_wrong_rank_rejected(self):
         with pytest.raises(FormatError, match="rank"):
             pack_entries({"x": np.zeros((2, 2), np.float32)})
