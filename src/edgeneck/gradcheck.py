@@ -1,22 +1,36 @@
 """Complex-step verification of reverse-mode gradients.
 
 :func:`grad_check` compares each probe's analytic directional derivative
-``sum(g * u)`` with the complex step ``Im f(x + i H u) / H`` along the unit
-vector ``u``: one coordinate (one-hot ``u``), or a seeded random direction
-over a whole input.  The complex step subtracts nothing, so it has no
-cancellation and is exact to rounding at ``H = 1e-30`` (Squire and Trapp,
-"Using Complex Variables to Estimate Derivatives of Real Functions", SIAM
-Review 1998).  The base forward and backward run on real float64 leaves.
+``sum(g * u)`` with the complex step ``Im f(x + i H u) / H`` along a vector
+``u``: one coordinate of one input (one-hot ``u``), or a seeded random
+direction over all inputs together.  The complex step subtracts
+nothing, so it has no cancellation and is exact to rounding at ``H =
+1e-30`` (Squire and Trapp, "Using Complex Variables to Estimate Derivatives
+of Real Functions", SIAM Review 1998).  The base forward and backward run
+on real float64 leaves.
 
 The target runs once, on a tape that lists every op call with its
-arguments, output and record.  A probe recomputes only the probed input's
-cone, once: the listed calls that the input reaches, in their listed order,
-through positional and keyword arguments and the elements of a list
-argument (``concat_channels``).  Each cone is compiled once per input with
-the argument positions that hold a cone tensor; a probe fills only those,
-and every other argument is the base forward's own tensor.  That equals
-re-running the target because of two rules of the contract: no block picks
-its op calls by data values, and a target computes only through ops.
+arguments, output and record.  A probe recomputes only its cone, once: the
+listed calls that the probed inputs reach, in their listed order, through
+positional and keyword arguments and the elements of a list argument
+(``concat_channels``).  A cone is compiled once, with slot ``k`` for leaf
+``k`` and the argument positions that hold a cone tensor; a probe fills
+only those, and every other argument is the base forward's own tensor.
+That equals re-running the target because of two rules of the contract: no
+block picks its op calls by data values, and a target computes only
+through ops.
+
+The complex step is linear in ``u``, so the signed residual ``sum(g * u) -
+Im f / H`` of a joint direction is a sum of one term per input.  Each
+input's part of ``u`` is its standard normal draw divided by ``max(1,
+|g|)``, the norm of its analytic gradient ``g``: its term of ``sum(g * u)``
+is then of order 1, or smaller where ``|g| < 1`` and ``_rel_err`` scores
+absolute error, so an error in a small input's gradient is not drowned by
+the terms of large ones.  A failed joint direction is localised by
+bisection: ``u`` restricted to the first half of the inputs (the rest keep
+a zero imaginary part) gives that half's residual from the same compiled
+cone, the other half's is the difference, and the half with the larger
+magnitude is kept, at most ``ceil(log2 n)`` evaluations for ``n`` inputs.
 
 Ops order complex values by real part first, so a probe keeps the base
 forward's branch except at an exact real tie (relu at 0, tied pooling
@@ -46,13 +60,20 @@ TOL = 1e-10
 
 @dataclass
 class GradCheckEntry:
-    """Per-input outcome: probe counts and the worst relative error seen."""
+    """One probed input's outcome, or a joint direction's: probe counts and the worst error.
+
+    A joint direction's ``label`` spans its inputs, ``first..last``.
+    ``worst_input`` names the input of the worst error: the entry's own, or
+    the one a failed direction's error was localised to.  ``worst_coord`` is
+    the coordinate of an input's worst probe (``None`` for a direction).
+    """
 
     label: str
     probed: int
     skipped: int
     max_rel_err: float
     worst_coord: tuple | None
+    worst_input: str | None
 
     def format(self):
         text = (f"{self.label}: probed={self.probed} skipped={self.skipped} "
@@ -79,7 +100,7 @@ class GradCheckReport:
 
     @property
     def unprobed(self):
-        """Labels of the inputs that no probe verified."""
+        """Labels of the entries that no probe verified: inputs, or a joint direction's span."""
         return [e.label for e in self.entries if e.probed == 0]
 
     @property
@@ -103,15 +124,15 @@ def _rel_err(analytic, numeric):
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 
-def _cones(calls, leaves):
-    """Per leaf, the listed ``calls`` it reaches, in listed order.
+def _cones(calls, groups):
+    """Per group of leaves, the listed ``calls`` that its leaves reach, in listed order.
 
-    One pass carries, per tensor, the bit mask of the leaves that reach it,
+    One pass carries, per tensor, the bit mask of the groups that reach it,
     through positional and keyword arguments and the elements of a list
     argument.
     """
-    reach = {id(leaf): 1 << k for k, leaf in enumerate(leaves)}
-    cones = [[] for _ in leaves]
+    reach = {id(leaf): 1 << k for k, group in enumerate(groups) for leaf in group}
+    cones = [[] for _ in groups]
     for call in calls:
         (_, args, kwargs), result, _ = call
         mask = 0
@@ -126,17 +147,17 @@ def _cones(calls, leaves):
     return cones
 
 
-def _compile(calls, leaf, out):
-    """``leaf``'s cone ``calls``, ready to recompute, and the slot of ``out``.
+def _compile(calls, leaves, out):
+    """The cone ``calls`` of ``leaves``, ready to recompute, and the slot of ``out``.
 
-    Slot 0 is ``leaf``, slot ``k`` the output of call ``k - 1``; the slot
-    of ``out`` is ``None`` when the cone misses it.  Each compiled call is
-    ``(op, args, kwargs, subs, branch)``: private copies of its arguments
-    (a list argument copied too), the ``(container, key, slot)`` positions
-    in them that hold a cone tensor, and the base forward's ``branch``
-    entry or ``None``.
+    Slot ``k`` is leaf ``k`` and slot ``len(leaves) + k`` the output of
+    call ``k``; the slot of ``out`` is ``None`` when the cone misses it.
+    Each compiled call is ``(op, args, kwargs, subs, branch)``: private
+    copies of its arguments (a list argument copied too), the ``(container,
+    key, slot)`` positions in them that hold a cone tensor, and the base
+    forward's ``branch`` entry or ``None``.
     """
-    slots = {id(leaf): 0}
+    slots = {id(leaf): k for k, leaf in enumerate(leaves)}
     cone = []
     for (op, args, kwargs), result, rec in calls:
         args, kwargs = list(args), dict(kwargs)
@@ -149,20 +170,20 @@ def _compile(calls, leaf, out):
                     subs += [(arg, j, slots[id(t)]) for j, t in enumerate(arg) if id(t) in slots]
                 elif id(arg) in slots:
                     subs.append((box, key, slots[id(arg)]))
-        slots[id(result)] = len(cone) + 1
+        slots[id(result)] = len(leaves) + len(cone)
         cone.append((op, args, kwargs, subs, None if rec is None else rec.saved.get("branch")))
     return cone, slots.get(id(out))
 
 
-def _derivative(cone, end, point):
-    """``Im(out) / H`` with the cone recomputed from the complex ``point``, on a tape of its own.
+def _derivative(cone, end, points):
+    """``Im(out) / H`` with the cone recomputed from the complex ``points``, on a tape of its own.
 
-    ``end`` is the slot of ``out`` (``None``: the cone misses it, whose
-    imaginary part is then 0).  Returns ``None`` as soon as a recomputed
-    call's ``branch`` entry differs from the base forward's: the probe sits
-    on a kink.
+    ``points`` holds one array per compiled leaf, in slot order; ``end`` is
+    the slot of ``out`` (``None``: the cone misses it, whose imaginary part
+    is then 0).  Returns ``None`` as soon as a recomputed call's ``branch``
+    entry differs from the base forward's: the probe sits on a kink.
     """
-    values = [Tensor(point, requires_grad=True)]
+    values = [Tensor(point, requires_grad=True) for point in points]
     with Tape() as tape:
         for op, args, kwargs, subs, branch in cone:
             for box, key, slot in subs:
@@ -172,31 +193,64 @@ def _derivative(cone, end, point):
                 got = tape.records[-1].saved["branch"]
                 if got.shape != branch.shape or not (got == branch).all():
                     return None
-    return 0.0 if end is None else values[end].data.item().imag / H
+    return 0.0 if end is None else values[end].item().imag / H
 
 
-def _probes(leaf, analytic, rng, shuffled, directional):
-    """``(point, slope, at)`` for each probe of ``leaf`` along a unit vector ``u``.
+def _slope(analytic, points):
+    """The analytic ``sum(g * u)`` of a direction, read from its points' imaginary parts ``H u``."""
+    return sum(float(np.vdot(g, point.imag)) for g, point in zip(analytic, points)) / H
 
-    ``point`` is the complex ``x + i H u``, ``slope`` the analytic ``sum(g *
-    u)`` and ``at`` the row-major flat index of a one-hot ``u`` (``None``
-    for a direction).  A one-hot probe sets one imaginary element of one
-    complex copy of the leaf, and clears it when the next probe is drawn.
+
+def _probes(leaves, analytic, rng, shuffled, directional):
+    """``(points, slope, at)`` for each probe of ``leaves`` along a vector ``u``.
+
+    ``points`` holds the complex ``x + i H u`` of each leaf and ``slope``
+    the analytic ``sum(g * u)``.  A joint direction draws its part of each
+    leaf from ``rng.standard_normal``, leaf by leaf, divided by ``max(1,
+    |g|)`` of that leaf's gradient ``g``, into the imaginary parts of one
+    complex copy of each leaf, and ``at`` is the points, valid until the
+    next direction is drawn.  A one-hot probe of the one leaf sets one
+    imaginary element of one complex copy of it, clears it when the next
+    probe is drawn, and ``at`` is its row-major flat index.
     """
     if directional:
+        steps = [H / max(1.0, math.sqrt(float(np.vdot(g, g)))) for g in analytic]
+        points = [leaf.data.astype(np.complex128) for leaf in leaves]
         while True:
-            u = rng.standard_normal(leaf.dims)
-            u /= np.linalg.norm(u)
-            point = leaf.data.astype(np.complex128)
-            point.imag = H * u
-            yield point, float(np.vdot(analytic, u)), None
+            for point, leaf, step in zip(points, leaves, steps):
+                point.imag = rng.standard_normal(leaf.dims) * step
+            yield points, _slope(analytic, points), points
+    [leaf], [g] = leaves, analytic
     point = leaf.data.astype(np.complex128)
     imag = point.imag
     flat = np.arange(point.size)
     for i in flat[rng.permutation(flat.size)] if shuffled else flat:
         imag.flat[i] = H
-        yield point, float(analytic.flat[i]), i
+        yield [point], float(g.flat[i]), i
         imag.flat[i] = 0.0
+
+
+def _localise(cone, end, leaves, analytic, points, residual):
+    """Index of the leaf that the signed ``residual`` of the direction to ``points`` comes from.
+
+    A tie keeps the first half and a non-finite residual counts as the
+    larger; a halving the kink guard skips ends at the first leaf left.
+    """
+    lo, hi = 0, len(leaves)
+    while hi - lo > 1:
+        mid = (lo + hi + 1) // 2
+        numeric = _derivative(cone, end, [
+            point if lo <= k < mid else leaf.data.astype(np.complex128)
+            for k, (leaf, point) in enumerate(zip(leaves, points))])
+        if numeric is None:
+            break
+        first = _slope(analytic[lo:mid], points[lo:mid]) - numeric
+        second = residual - first
+        if math.isfinite(first) and not abs(second) <= abs(first):
+            lo, residual = mid, second
+        else:
+            hi, residual = mid, first
+    return lo
 
 
 def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
@@ -208,7 +262,7 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     ``fn`` ignores has a zero analytic gradient, even when it ignores all.
 
     ``fn`` is called once; each probe recomputes only the op calls its
-    input reaches.  So ``fn`` must keep two rules: it picks no op call by
+    inputs reach.  So ``fn`` must keep two rules: it picks no op call by
     data values, and it computes only through ops (a value it derives from
     a tensor's ``data`` outside an op would not be recomputed).
 
@@ -216,10 +270,13 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     indices of its coordinates are shuffled by ``rng.permutation`` (``rng``
     seeded to 0 when omitted) and a probe the kink guard skips is replaced
     by the next one, attempting at most ``max(6 * max_coords, max_coords +
-    12)``.  With ``directional`` each probe is instead one unit direction
-    over the whole input, drawn from ``rng.standard_normal`` and
-    normalised; ``max_coords`` (1 when omitted) counts directions, and a
-    direction the kink guard skips is replaced within the same budget.
+    12)``.  With ``directional`` the report has one entry: directions over
+    all inputs together, each input's part drawn in order from
+    ``rng.standard_normal`` and divided by ``max(1, |g|)`` of its analytic
+    gradient; ``max_coords`` (1 when omitted) counts directions, and a
+    direction the kink guard skips is replaced within the same budget.  The
+    first direction that fails ends the check and is localised to one input
+    by bisection, at most ``ceil(log2 n)`` more evaluations.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -236,30 +293,40 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     if out.requires_grad:  # else no input reaches it: every analytic gradient stays zero
         backward(tape, out)
 
+    labels = list(leaves)
+    if directional:
+        groups = [list(leaves.values())]
+        names = [labels[0] if len(labels) == 1 else f"{labels[0]}..{labels[-1]}"]
+    else:
+        groups = [[leaf] for leaf in leaves.values()]
+        names = labels
     entries = []
-    for (label, leaf), calls in zip(leaves.items(), _cones(tape.calls, leaves.values())):
-        cone, end = _compile(calls, leaf, out)
-        analytic = np.zeros(leaf.dims) if leaf.grad is None else leaf.grad
-        target = max_coords or (1 if directional else leaf.data.size)
-        probes = _probes(leaf, analytic, rng, max_coords is not None, directional)
+    for name, group, calls in zip(names, groups, _cones(tape.calls, groups)):
+        cone, end = _compile(calls, group, out)
+        analytic = [np.zeros(leaf.dims) if leaf.grad is None else leaf.grad for leaf in group]
+        target = max_coords or (1 if directional else group[0].data.size)
+        probes = _probes(group, analytic, rng, max_coords is not None, directional)
         probed = 0
         skipped = 0
         worst = 0.0
-        worst_at = None
+        worst_at = residual = None
         # skipped probes draw replacements, within a bounded budget
-        for point, slope, at in islice(probes, max(6 * target, target + 12)):
-            numeric = _derivative(cone, end, point)
+        for points, slope, at in islice(probes, max(6 * target, target + 12)):
+            numeric = _derivative(cone, end, points)
             if numeric is None:
                 skipped += 1
                 continue
             err = _rel_err(slope, numeric)
             probed += 1
             if err > worst:
-                worst = err
-                worst_at = at
-            if probed == target:
+                worst, worst_at, residual = err, at, slope - numeric
+            # a failed direction ends the check, localised while its points are drawn
+            if probed == target or (directional and err > TOL):
                 break
-        worst_coord = None if worst_at is None else tuple(
-            map(int, np.unravel_index(worst_at, leaf.dims)))
-        entries.append(GradCheckEntry(label, probed, skipped, worst, worst_coord))
+        coord = who = None
+        if directional and worst > TOL:
+            who = labels[_localise(cone, end, group, analytic, worst_at, residual)]
+        elif not directional and worst_at is not None:
+            coord, who = tuple(map(int, np.unravel_index(worst_at, group[0].dims))), name
+        entries.append(GradCheckEntry(name, probed, skipped, worst, coord, who))
     return GradCheckReport(entries, TOL)

@@ -78,9 +78,10 @@ class Tensor:
         return _ELEMENT_NAMES[self.data.dtype]
 
     def item(self):
+        """The one element: a Python ``float``, or a ``complex`` for complex128."""
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got dims {self.dims}")
-        return float(self.data.reshape(()))
+        return self.data.item()
 
     def zero_grad(self):
         if self.grad is not None:

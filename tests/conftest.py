@@ -47,12 +47,14 @@ def conv_kernels(monkeypatch):
 def rerun_probes(monkeypatch):
     """Call it to make later checks re-run their target whole at every probe.
 
-    Each probe calls the target on a fresh tape with the complex point
-    ``x + i H u`` in the probed input's place, compares the ``branch``
-    entry of every call it lists with the base forward's entry for that
-    call, and reads ``Im(out) / H``: the reference that recomputing only
-    an input's compiled cone must equal.  Checks made through
-    ``gradcheck.grad_check`` or ``verify.grad_check`` are affected.
+    Each probe calls the target on a fresh tape with its complex points
+    ``x + i H u`` in the probed inputs' places (one input for a coordinate,
+    every input for a joint direction or one of its halvings), compares the
+    ``branch`` entry of every call it lists with the base forward's entry
+    for that call, and reads ``Im(out) / H``: the reference that
+    recomputing only the probed inputs' compiled cone must equal.  Checks
+    made through ``gradcheck.grad_check`` or ``verify.grad_check`` are
+    affected.
     """
     from edgeneck import gradcheck, verify
     from edgeneck.tensor import Tape, Tensor
@@ -74,15 +76,16 @@ def rerun_probes(monkeypatch):
                 return fn(*leaves)
             return original(taped, inputs, *args, **kwargs)
 
-        def compile_only_the_leaf(calls, leaf, out):
-            return leaf, None
+        def compile_only_the_leaves(calls, leaves, out):
+            return leaves, None
 
-        def rerun(leaf, end, point):
-            leaves = list(base["leaves"])
-            leaves[next(k for k, t in enumerate(leaves) if t is leaf)] = Tensor(
-                point, requires_grad=True)
+        def rerun(leaves, end, points):
+            args = list(base["leaves"])
+            position = {id(t): k for k, t in enumerate(args)}
+            for leaf, point in zip(leaves, points):
+                args[position[id(leaf)]] = Tensor(point, requires_grad=True)
             with Tape() as tape:
-                value = base["fn"](*leaves).data.item().imag / gradcheck.H
+                value = base["fn"](*args).item().imag / gradcheck.H
             got, want = branches(tape.calls), branches(base["calls"])
             if len(got) != len(want) or not all(map(same, got, want)):
                 return None
@@ -90,7 +93,7 @@ def rerun_probes(monkeypatch):
 
         monkeypatch.setattr(gradcheck, "grad_check", grad_check)
         monkeypatch.setattr(verify, "grad_check", grad_check)
-        monkeypatch.setattr(gradcheck, "_compile", compile_only_the_leaf)
+        monkeypatch.setattr(gradcheck, "_compile", compile_only_the_leaves)
         monkeypatch.setattr(gradcheck, "_derivative", rerun)
 
     return install

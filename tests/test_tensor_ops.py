@@ -69,6 +69,14 @@ class TestTensorType:
         with pytest.raises(ContractError):
             en.Tensor(np.ones((1, 2, 1, 1), np.float32)).item()
 
+    @pytest.mark.parametrize("dtype, value, kind", [
+        (np.float32, 0.1, float), (np.float64, 0.1, float), (np.complex128, 0.1 - 1e-30j, complex),
+    ], ids=["f32", "f64", "c128"])
+    def test_item_is_a_python_number_of_the_element_kind(self, dtype, value, kind):
+        got = en.Tensor(np.full((1, 1, 1, 1), value, dtype)).item()
+        assert type(got) is kind
+        assert got == dtype(value)  # f32 keeps its rounded value: 0.1 reads 0.10000000149...
+
 
 class TestConvSpec:
     def test_validation(self):
