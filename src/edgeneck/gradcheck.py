@@ -10,15 +10,24 @@ of Real Functions", SIAM Review 1998).  The base forward and backward run
 on real float64 leaves.
 
 The target runs once, on a tape that lists every op call with its
-arguments, output and record.  A probe recomputes only its cone, once: the
+arguments, output and record.  A probe recomputes only its cone: the
 listed calls that the probed inputs reach, in their listed order, through
 positional and keyword arguments and the elements of a list argument
 (``concat_channels``).  A cone is compiled once, with slot ``k`` for leaf
-``k`` and the argument positions that hold a cone tensor; a probe fills
-only those, and every other argument is the base forward's own tensor.
-That equals re-running the target because of two rules of the contract: no
-block picks its op calls by data values, and a target computes only
-through ops.
+``k`` and the argument positions that hold a cone tensor; an evaluation
+fills only those, and every other argument is the base forward's own
+tensor.  That equals re-running the target because of two rules of the
+contract: no block picks its op calls by data values, and a target
+computes only through ops.
+
+One evaluation carries a batch of probes along a leading axis of the
+leaves' points, which the ops broadcast over (the vector forward mode of
+Griewank and Walther, "Evaluating Derivatives", 2008, section 3, with
+complex steps for tangents).  An input's coordinate probes are evaluated
+in batches of as many as keep the largest value the cone recomputes, at
+complex128, within ``tensor._TILE_BYTES`` (at least one); each op and
+block check takes one batch per input.  The joint directions, and their
+halvings, are batches of one: their cone is the whole target.
 
 The complex step is linear in ``u``, so the signed residual ``sum(g * u) -
 Im f / H`` of a joint direction is a sum of one term per input.  Each
@@ -35,9 +44,10 @@ magnitude is kept, at most ``ceil(log2 n)`` evaluations for ``n`` inputs.
 Ops order complex values by real part first, so a probe keeps the base
 forward's branch except at an exact real tie (relu at 0, tied pooling
 candidates, ``edge_magnitude`` at ``(0, 0)``), where the imaginary part
-picks one.  So each recomputed call's ``branch`` entry is compared with the
-base forward's record of that call, calls on a tape the target opens itself
-included, and a probe with a differing entry is skipped and counted.  An
+picks one.  So each recomputed call's ``branch`` entry is compared, probe
+by probe, with the base forward's record of that call, calls on a tape the
+target opens itself included, and a probe with a differing entry is
+skipped and counted; the other probes of its batch stand.  An
 input left with no verified probe fails the check: nothing was measured
 about its gradient.  A probe whose analytic or numeric derivative is not
 finite scores an infinite error, so a NaN gradient fails too.
@@ -47,12 +57,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor, Tape, backward
+from .tensor import Tensor, Tape, _tensor, _tile, backward
 
 H = 1e-30
 TOL = 1e-10
@@ -176,14 +185,18 @@ def _compile(calls, leaves, out):
 
 
 def _derivative(cone, end, points):
-    """``Im(out) / H`` with the cone recomputed from the complex ``points``, on a tape of its own.
+    """Per probe, ``Im(out) / H`` with the cone recomputed once from the complex ``points``.
 
-    ``points`` holds one array per compiled leaf, in slot order; ``end`` is
+    ``points`` holds one ``(P, *dims)`` array per compiled leaf, in slot
+    order: probe ``p`` is every leaf's ``[p]``, and the ops carry the P
+    probes along that leading axis, on a tape of their own.  ``end`` is
     the slot of ``out`` (``None``: the cone misses it, whose imaginary part
-    is then 0).  Returns ``None`` as soon as a recomputed call's ``branch``
-    entry differs from the base forward's: the probe sits on a kink.
+    is then 0).  A probe reads ``None`` where a recomputed call's
+    ``branch`` entry differs from the base forward's: it sits on a kink.
     """
-    values = [Tensor(point, requires_grad=True) for point in points]
+    count = len(points[0])
+    kept = np.ones(count, bool)
+    values = [_tensor(point, True) for point in points]
     with Tape() as tape:
         for op, args, kwargs, subs, branch in cone:
             for box, key, slot in subs:
@@ -191,9 +204,14 @@ def _derivative(cone, end, points):
             values.append(op(*args, **kwargs))
             if branch is not None:
                 got = tape.records[-1].saved["branch"]
-                if got.shape != branch.shape or not (got == branch).all():
-                    return None
-    return 0.0 if end is None else values[end].item().imag / H
+                if got.shape[1:] != branch.shape:
+                    kept[:] = False
+                else:
+                    kept &= (got == branch).reshape(count, -1).all(axis=1)
+                if not kept.any():
+                    return [None] * count
+    numeric = [0.0] * count if end is None else (values[end].data.imag.reshape(count) / H).tolist()
+    return [value if ok else None for value, ok in zip(numeric, kept)]
 
 
 def _slope(analytic, points):
@@ -201,33 +219,41 @@ def _slope(analytic, points):
     return sum(float(np.vdot(g, point.imag)) for g, point in zip(analytic, points)) / H
 
 
-def _probes(leaves, analytic, rng, shuffled, directional):
-    """``(points, slope, at)`` for each probe of ``leaves`` along a vector ``u``.
+def _directions(leaves, analytic, rng):
+    """``(points, slope)`` for each joint direction ``u`` over ``leaves``, one probe each.
 
-    ``points`` holds the complex ``x + i H u`` of each leaf and ``slope``
-    the analytic ``sum(g * u)``.  A joint direction draws its part of each
-    leaf from ``rng.standard_normal``, leaf by leaf, divided by ``max(1,
-    |g|)`` of that leaf's gradient ``g``, into the imaginary parts of one
-    complex copy of each leaf, and ``at`` is the points, valid until the
-    next direction is drawn.  A one-hot probe of the one leaf sets one
-    imaginary element of one complex copy of it, clears it when the next
-    probe is drawn, and ``at`` is its row-major flat index.
+    ``points`` holds the complex ``x + i H u`` of each leaf, with a leading
+    probe axis of 1, and ``slope`` the analytic ``sum(g * u)``.  Each
+    direction draws its part of each leaf from ``rng.standard_normal``,
+    leaf by leaf, divided by ``max(1, |g|)`` of that leaf's gradient ``g``,
+    into the imaginary parts of one complex copy of each leaf: the points
+    are valid until the next direction is drawn.
     """
-    if directional:
-        steps = [H / max(1.0, math.sqrt(float(np.vdot(g, g)))) for g in analytic]
-        points = [leaf.data.astype(np.complex128) for leaf in leaves]
-        while True:
-            for point, leaf, step in zip(points, leaves, steps):
-                point.imag = rng.standard_normal(leaf.dims) * step
-            yield points, _slope(analytic, points), points
-    [leaf], [g] = leaves, analytic
-    point = leaf.data.astype(np.complex128)
-    imag = point.imag
-    flat = np.arange(point.size)
-    for i in flat[rng.permutation(flat.size)] if shuffled else flat:
-        imag.flat[i] = H
-        yield [point], float(g.flat[i]), i
-        imag.flat[i] = 0.0
+    steps = [H / max(1.0, math.sqrt(float(np.vdot(g, g)))) for g in analytic]
+    points = [leaf.data.astype(np.complex128)[None] for leaf in leaves]
+    while True:
+        for point, leaf, step in zip(points, leaves, steps):
+            point.imag = rng.standard_normal(leaf.dims) * step
+        yield points, _slope(analytic, points)
+
+
+def _coordinates(cone, end, leaf, g, at, width):
+    """``(slope, numeric, at)`` of the one-hot probes of ``leaf`` at the flat indices ``at``.
+
+    The probes are evaluated in order, in batches of as many as keep
+    ``width``, the bytes one probe adds to the largest value the cone
+    recomputes, within ``_TILE_BYTES`` (at least one): probe ``p`` of a
+    batch is a complex copy of the leaf with ``H`` at its own coordinate.
+    """
+    results = []
+    step = _tile(len(at), width)
+    for start in range(0, len(at), step):
+        batch = at[start:start + step]
+        points = np.empty((len(batch),) + leaf.dims, np.complex128)
+        points[...] = leaf.data
+        points.reshape(len(batch), -1).imag[np.arange(len(batch)), batch] = H
+        results += zip(g.flat[batch].tolist(), _derivative(cone, end, [points]), batch.tolist())
+    return results
 
 
 def _localise(cone, end, leaves, analytic, points, residual):
@@ -239,8 +265,8 @@ def _localise(cone, end, leaves, analytic, points, residual):
     lo, hi = 0, len(leaves)
     while hi - lo > 1:
         mid = (lo + hi + 1) // 2
-        numeric = _derivative(cone, end, [
-            point if lo <= k < mid else leaf.data.astype(np.complex128)
+        [numeric] = _derivative(cone, end, [
+            point if lo <= k < mid else leaf.data.astype(np.complex128)[None]
             for k, (leaf, point) in enumerate(zip(leaves, points))])
         if numeric is None:
             break
@@ -261,23 +287,33 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     always runs in float64 regardless of the input dtype.  An input that
     ``fn`` ignores has a zero analytic gradient, even when it ignores all.
 
-    ``fn`` is called once; each probe recomputes only the op calls its
-    inputs reach.  So ``fn`` must keep two rules: it picks no op call by
-    data values, and it computes only through ops (a value it derives from
-    a tensor's ``data`` outside an op would not be recomputed).
+    ``fn`` is called once; each evaluation recomputes only the op calls its
+    inputs reach, for a batch of probes at once.  So ``fn`` must keep two
+    rules: it picks no op call by data values, and it computes only through
+    ops (a value it derives from a tensor's ``data`` outside an op would not
+    be recomputed).  ``inputs`` must not be empty.
 
-    ``max_coords`` caps the verified probes per input: the row-major flat
-    indices of its coordinates are shuffled by ``rng.permutation`` (``rng``
-    seeded to 0 when omitted) and a probe the kink guard skips is replaced
-    by the next one, attempting at most ``max(6 * max_coords, max_coords +
-    12)``.  With ``directional`` the report has one entry: directions over
-    all inputs together, each input's part drawn in order from
-    ``rng.standard_normal`` and divided by ``max(1, |g|)`` of its analytic
-    gradient; ``max_coords`` (1 when omitted) counts directions, and a
-    direction the kink guard skips is replaced within the same budget.  The
-    first direction that fails ends the check and is localised to one input
-    by bisection, at most ``ceil(log2 n)`` more evaluations.
+    ``max_coords`` (at least 1) caps the verified probes per input: the
+    row-major flat indices of its coordinates are shuffled by
+    ``rng.permutation`` (``rng`` seeded to 0 when omitted) and probed in
+    rounds.  A round takes the next ``target - probed`` coordinates in that
+    order, in batches bounded by ``_TILE_BYTES``, so a probe the kink guard
+    skips is replaced in the next round, attempting at most ``max(6 *
+    max_coords, max_coords + 12)``: the coordinates attempted are those of
+    probing one at a time.
+
+    With ``directional`` the report has one entry: directions over all
+    inputs together, one per evaluation, each input's part drawn in order
+    from ``rng.standard_normal`` and divided by ``max(1, |g|)`` of its
+    analytic gradient; ``max_coords`` (1 when omitted) counts directions,
+    and a direction the kink guard skips is replaced within the same
+    budget.  The first direction that fails ends the check and is localised
+    to one input by bisection, at most ``ceil(log2 n)`` more evaluations.
     """
+    if not inputs:
+        raise ContractError("grad_check needs at least one input")
+    if max_coords is not None and max_coords < 1:
+        raise ContractError(f"max_coords must be >= 1, got {max_coords}")
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -305,24 +341,39 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
         cone, end = _compile(calls, group, out)
         analytic = [np.zeros(leaf.dims) if leaf.grad is None else leaf.grad for leaf in group]
         target = max_coords or (1 if directional else group[0].data.size)
-        probes = _probes(group, analytic, rng, max_coords is not None, directional)
+        budget = max(6 * target, target + 12)
+        if directional:
+            directions = _directions(group, analytic, rng)
+        else:
+            flat = np.arange(group[0].data.size)
+            order = flat[rng.permutation(flat.size)] if max_coords is not None else flat
+            # bytes of the largest value the cone recomputes, complex128, per probe
+            width = 16 * max((result.data.size for _, result, _ in calls), default=0)
         probed = 0
         skipped = 0
         worst = 0.0
         worst_at = residual = None
-        # skipped probes draw replacements, within a bounded budget
-        for points, slope, at in islice(probes, max(6 * target, target + 12)):
-            numeric = _derivative(cone, end, points)
-            if numeric is None:
-                skipped += 1
-                continue
-            err = _rel_err(slope, numeric)
-            probed += 1
-            if err > worst:
-                worst, worst_at, residual = err, at, slope - numeric
-            # a failed direction ends the check, localised while its points are drawn
-            if probed == target or (directional and err > TOL):
-                break
+        # rounds of as many probes as are still to verify replace the ones the
+        # kink guard skips, within a bounded budget; a failed direction ends the
+        # check, localised while its points are drawn
+        while probed < target and probed + skipped < budget and not (directional and worst > TOL):
+            if directional:
+                points, slope = next(directions)
+                results = zip([slope], _derivative(cone, end, points), [points])
+            else:
+                attempted = probed + skipped
+                at = order[attempted:attempted + min(target - probed, budget - attempted)]
+                if not at.size:
+                    break
+                results = _coordinates(cone, end, group[0], analytic[0], at, width)
+            for slope, numeric, at in results:
+                if numeric is None:
+                    skipped += 1
+                    continue
+                err = _rel_err(slope, numeric)
+                probed += 1
+                if err > worst:
+                    worst, worst_at, residual = err, at, slope - numeric
         coord = who = None
         if directional and worst > TOL:
             who = labels[_localise(cone, end, group, analytic, worst_at, residual)]

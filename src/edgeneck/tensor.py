@@ -3,18 +3,26 @@
 Everything in this library moves through one currency: a contiguous
 row-major ``(N, C, H, W)`` float buffer (complex128 only inside the
 gradient checker's probes).  All ops are pure functions over
-immutable tensors.  While a :class:`Tape` is active, ops whose result
-depends on a gradient-carrying tensor append a record; :func:`backward`
-walks those records in exact reverse creation order and accumulates
-``d(root)/d(leaf)`` into the ``grad`` of every leaf it reaches, made on first reach.
-Every active tape also lists every op call with its arguments, output and record.
+immutable tensors.  Each forward op acts on the trailing ``(N, C, H, W)``
+axes of its operands' data and broadcasts over any leading axes, numpy
+style, so one call computes a batch of probes stacked along a leading
+probe axis.  :class:`Tensor` itself is 4-D: only the gradient checker
+builds tensors with leading axes, the way :func:`_record` builds results,
+and no backward rule sees one.
+
+While a :class:`Tape` is active, ops whose result depends on a
+gradient-carrying tensor append a record; :func:`backward` walks those
+records in exact reverse creation order and accumulates ``d(root)/d(leaf)``
+into the ``grad`` of every leaf it reaches, made on first reach.  Every
+active tape also lists every op call with its arguments, output and record.
 
 Convolution uses the cross-correlation convention (no kernel flip) and is
 lowered to im2col plus matrix multiplies (GEMM), forward and backward.
 Every im2col and col2im buffer is bounded by ``_TILE_BYTES``, or holds one
 tiling unit when that is larger:
 
-* forward: per tile of output rows, one GEMM per image into the output;
+* forward: per tile of output rows, one GEMM per image (and per leading
+  index) into the output, the tile's columns holding every image;
 * input gradient: per tile of output rows, one GEMM
   ``W^T (K x C_out) @ grad_out (C_out x N*rows*OW)`` with the batch folded
   into the columns, its product scattered one ``(ky, kx)`` tap at a time
@@ -32,6 +40,7 @@ deterministic on one machine.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +176,15 @@ class Tape:
 _TAPE_STACK = []
 
 
+def _tensor(data, requires_grad):
+    """A tensor over ``data`` as it is, unchecked: an op's result, or a batch of probes."""
+    t = Tensor.__new__(Tensor)
+    t.data = data
+    t.requires_grad = requires_grad
+    t.grad = None
+    return t
+
+
 def _record(op, inputs, data, branch=None, **saved):
     """Every op's result: ``data``, needing a gradient when any input does.
 
@@ -175,10 +193,7 @@ def _record(op, inputs, data, branch=None, **saved):
     branch decision, called and its result saved under ``"branch"``, so
     an untaped op builds no mask or arg-max that nothing would read.
     """
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.requires_grad = False
-    out.grad = None
+    out = _tensor(data, False)
     for t in inputs:  # a plain loop: any() over a generator adds a frame to every op
         if t.requires_grad:
             out.requires_grad = True
@@ -272,6 +287,22 @@ def _same_dtype(*tensors):
     return dtype
 
 
+def _lead(*arrays):
+    """The leading axes, before ``(N, C, H, W)``, that ``arrays`` broadcast to; skips ``None``."""
+    lead = ()
+    for a in arrays:
+        if a is not None and a.ndim > 4 and a.shape[:-4] != lead:
+            if not lead:
+                lead = a.shape[:-4]
+                continue
+            try:
+                lead = np.broadcast_shapes(lead, a.shape[:-4])
+            except ValueError:
+                shapes = [a.shape for a in arrays if a is not None]
+                raise ContractError(f"leading axes of {shapes} do not broadcast") from None
+    return lead
+
+
 def _reduce_broadcast(grad, dims):
     """Sum-reduce a gradient over the axes that were broadcast in forward."""
     axes = tuple(i for i in range(4) if dims[i] == 1 and grad.shape[i] > 1)
@@ -287,18 +318,19 @@ def conv2d(x, weight, bias=None, spec=ConvSpec()):
     """Cross-correlate ``x`` with ``weight`` under ``spec``.
 
     ``weight`` dims are ``(C_out, C_in, kH, kW)``; an optional bias has
-    dims ``(1, C_out, 1, 1)``.  Computed as im2col plus GEMM over row
+    dims ``(1, C_out, 1, 1)``; leading axes of all three broadcast.
+    Computed as im2col plus GEMM over row
     tiles of at most ``_TILE_BYTES`` of columns; each output element is a
     length-``C_in*kH*kW`` dot product summed in the BLAS library's order,
     so it is deterministic on one machine but not bit-exact across
     platforms.
     """
     dtype = _same_dtype(x, weight, bias)
-    n, c, h, w = x.data.shape
-    c_out, c_in, kh, kw = weight.data.shape
+    n, c, h, w = x.data.shape[-4:]
+    c_out, c_in, kh, kw = weight.data.shape[-4:]
     if c_in != c:
         raise ContractError(f"weight in-channel dim {c_in} != input channels {c}")
-    if bias is not None and bias.dims != (1, c_out, 1, 1):
+    if bias is not None and bias.data.shape[-4:] != (1, c_out, 1, 1):
         raise ContractError(f"bias dims {bias.dims} != (1, {c_out}, 1, 1)")
     oh, ow = spec.out_hw(h, w, kh, kw)
 
@@ -324,21 +356,23 @@ def _padded(xd, padding):
     py, px = padding
     if not (py or px):
         return np.ascontiguousarray(xd)
-    n, c, h, w = xd.shape
-    xp = np.zeros((n, c, h + 2 * py, w + 2 * px), xd.dtype)
-    xp[:, :, py:py + h, px:px + w] = xd
+    h, w = xd.shape[-2:]
+    xp = np.zeros(xd.shape[:-2] + (h + 2 * py, w + 2 * px), xd.dtype)
+    xp[..., py:py + h, px:px + w] = xd
     return xp
 
 
 def _taps(xp, kh, kw, spec, c0, cc, row0, rows, ow):
-    """Read-only im2col view ``(N, cc, kH, kW, rows, OW)`` from channel ``c0``, output row ``row0``.
+    """Read-only im2col view ``(..., N, cc, kH, kW, rows, OW)`` from channel ``c0``, row ``row0``.
 
-    ``xp`` is the view's buffer, so it must be C-contiguous.
+    ``xp`` is the view's buffer, so it must be C-contiguous; its leading
+    axes are kept, and ``row0`` counts output rows.
     """
-    sn, sc, sh, sw = xp.strides
+    sc, sh, sw = xp.strides[-3:]
     (sy, sx), (dy, dx) = spec.stride, spec.dilation
-    cols = np.ndarray((xp.shape[0], cc, kh, kw, rows, ow), xp.dtype, xp, c0 * sc + row0 * sy * sh,
-                      (sn, sc, sh * dy, sw * dx, sh * sy, sw * sx))
+    cols = np.ndarray(xp.shape[:-3] + (cc, kh, kw, rows, ow), xp.dtype, xp,
+                      c0 * sc + row0 * sy * sh,
+                      xp.strides[:-3] + (sc, sh * dy, sw * dx, sh * sy, sw * sx))
     cols.flags.writeable = False
     return cols
 
@@ -349,29 +383,38 @@ def _tile(count, unit_bytes):
 
 
 def _conv_forward(xd, wd, bias_d, spec, oh, ow, dtype):
-    """The conv output as ``dtype``, the operands' result type (complex if any operand is)."""
-    n, c = xd.shape[:2]
-    c_out, _, kh, kw = wd.shape
+    """The conv output as ``dtype``, the operands' result type (complex if any operand is).
+
+    Leading axes broadcast: the images of every leading index of ``xd``
+    share each row tile's columns, and one GEMM per image and leading
+    index of ``wd`` writes them.
+    """
+    n, c = xd.shape[-4:-2]
+    c_out, _, kh, kw = wd.shape[-4:]
     k = c * kh * kw
-    out = np.empty((n, c_out, oh * ow), dtype)  # the row tiles write every element
+    images = xd.shape[:-3]  # the leading axes and N
+    out = np.empty(_lead(xd, wd) + (n, c_out, oh * ow), dtype)  # the row tiles write every element
     if out.size:
         xp = _padded(xd, spec.padding)
-        w2 = wd.reshape(c_out, k)
+        w2 = wd.reshape(wd.shape[:-4] + (1, c_out, k))  # one matrix for all N images
         # complex x against a real w: one real GEMM over the columns read as
         # interleaved (re, im) pairs, half the work of a complex GEMM
         pair = 2 if xd.dtype == np.complex128 and wd.dtype == np.float64 else 1
         sink = out.view(np.float64) if pair == 2 else out
-        step = _tile(oh, n * k * ow * xd.itemsize)
+        step = _tile(oh, math.prod(images) * k * ow * xd.itemsize)
         for row0 in range(0, oh, step):
             rows = min(step, oh - row0)
             # a view for an unpadded 1x1 stride-1 conv; otherwise the im2col copy
-            cols = _taps(xp, kh, kw, spec, 0, c, row0, rows, ow).reshape(n, k, rows * ow)
+            cols = _taps(xp, kh, kw, spec, 0, c, row0, rows, ow).reshape(images + (k, rows * ow))
             if pair == 2:  # a strided 1x1 conv's one-row view is not contiguous
                 cols = np.ascontiguousarray(cols).view(np.float64)
-            np.matmul(w2, cols, out=sink[:, :, pair * row0 * ow:pair * (row0 + rows) * ow])
-    out = out.reshape(n, c_out, oh, ow)
+            np.matmul(w2, cols, out=sink[..., pair * row0 * ow:pair * (row0 + rows) * ow])
+    out = out.reshape(out.shape[:-1] + (oh, ow))
     if bias_d is not None:
-        out += bias_d
+        if _lead(out, bias_d) == out.shape[:-4]:
+            out += bias_d
+        else:  # a bias with leading axes that the conv's columns lack
+            out = out + bias_d
     return out
 
 
@@ -437,9 +480,12 @@ def _conv_backward(rec, grad_out):
 # ---------------------------------------------------------------------------
 
 def _check_broadcast(a_dims, b_dims):
+    """Refuse dims that do not broadcast, aligned from the last axis; the axis is the longer's."""
     if a_dims == b_dims:
         return
-    for axis, (da, db) in enumerate(zip(a_dims, b_dims)):
+    longer = max(len(a_dims), len(b_dims))
+    for axis in range(longer - min(len(a_dims), len(b_dims)), longer):
+        da, db = a_dims[axis - longer], b_dims[axis - longer]
         if da != db and da != 1 and db != 1:
             raise ContractError(
                 f"dims {a_dims} and {b_dims} are not broadcast-compatible at axis {axis}"
@@ -517,7 +563,9 @@ def edge_magnitude(gx, gy):
     """
     _same_dtype(gx, gy)
     if gx.dims != gy.dims:
-        raise ContractError(f"edge_magnitude dims differ: {gx.dims} vs {gy.dims}")
+        if gx.dims[-4:] != gy.dims[-4:]:
+            raise ContractError(f"edge_magnitude dims differ: {gx.dims} vs {gy.dims}")
+        _lead(gx.data, gy.data)
     mag = np.sqrt(gx.data * gx.data + gy.data * gy.data)
     return _record("edge_magnitude", (gx, gy), mag, branch=lambda: np.abs(mag) > 0)
 
@@ -537,28 +585,27 @@ def _edge_magnitude_backward(rec, grad_out):
 # ---------------------------------------------------------------------------
 
 def _spatial_flat(x, op):
-    """``x`` as N x C x (H*W), refusing an empty spatial extent."""
-    n, c, h, w = x.dims
+    """``x`` as ... x N x C x (H*W), refusing an empty spatial extent."""
+    h, w = x.dims[-2:]
     if h * w < 1:
         raise DomainError(f"{op} over empty spatial extent {h}x{w}")
-    return x.data.reshape(n, c, h * w)
+    return x.data.reshape(x.dims[:-2] + (h * w,))
 
 
 @_listed
 def global_avg_pool(x):
     """Average over all H*W positions per sample and channel, to N x C x 1 x 1."""
-    n, c = x.dims[:2]
-    out_d = _spatial_flat(x, "global_avg_pool").mean(axis=2).reshape(n, c, 1, 1)
+    flat = _spatial_flat(x, "global_avg_pool")
+    out_d = flat.mean(axis=-1).reshape(flat.shape[:-1] + (1, 1))
     return _record("global_avg_pool", (x,), out_d.astype(x.dtype, copy=False))
 
 
 @_listed
 def global_max_pool(x):
     """Maximum over all H*W positions per sample and channel, to N x C x 1 x 1."""
-    n, c = x.dims[:2]
     flat = _spatial_flat(x, "global_max_pool")
-    idx = flat.argmax(axis=2)  # first maximal position in scan order
-    out_d = np.take_along_axis(flat, idx[:, :, None], axis=2).reshape(n, c, 1, 1)
+    idx = flat.argmax(axis=-1)  # first maximal position in scan order
+    out_d = np.take_along_axis(flat, idx[..., None], axis=-1).reshape(flat.shape[:-1] + (1, 1))
     return _record("global_max_pool", (x,), out_d, branch=lambda: idx)
 
 
@@ -580,26 +627,27 @@ def _global_max_pool_backward(rec, grad_out):
 @_listed
 def up2_nearest(x):
     """Double H and W by replicating each pixel into a 2x2 block."""
-    return _record("up2_nearest", (x,), np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3))
+    return _record("up2_nearest", (x,), np.repeat(np.repeat(x.data, 2, axis=-2), 2, axis=-1))
 
 
 @_listed
 def down2_max(x):
     """Halve H and W by a 2x2, stride-2 max."""
-    n, c, h, w = x.dims
+    xd = x.data
+    h, w = xd.shape[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"down2_max needs even spatial dims, got {h}x{w}")
-    xd = x.data
+    outer = xd.shape[:-2]
 
     def first_maximal():  # index of the first maximal element per block, row-major
-        blocks = xd.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return blocks.reshape(n, c, h // 2, w // 2, 4).argmax(axis=4)
+        blocks = xd.reshape(outer + (h // 2, 2, w // 2, 2)).swapaxes(-3, -2)
+        return blocks.reshape(outer + (h // 2, w // 2, 4)).argmax(axis=-1)
 
     # that element's value, with no arg-max: np.maximum returns a NaN operand,
     # and its second operand on a tie, so passing the later element first keeps
     # the earlier of +0 and -0 (of two NaNs it keeps the later)
-    top = np.maximum(xd[:, :, 0::2, 1::2], xd[:, :, 0::2, 0::2])
-    bottom = np.maximum(xd[:, :, 1::2, 1::2], xd[:, :, 1::2, 0::2])
+    top = np.maximum(xd[..., 0::2, 1::2], xd[..., 0::2, 0::2])
+    bottom = np.maximum(xd[..., 1::2, 1::2], xd[..., 1::2, 0::2])
     return _record("down2_max", (x,), np.maximum(bottom, top, out=bottom),
                    branch=first_maximal)
 
@@ -629,12 +677,12 @@ def replicate_pad(x):
     image instead of an artificial step against zero, so zero-sum kernels
     stay silent on flat regions all the way to the border.
     """
-    n, c, h, w = x.dims
+    h, w = x.dims[-2:]
     if h < 1 or w < 1:
         raise DomainError(f"replicate_pad needs a non-empty spatial extent, got {h}x{w}")
     out_d = _padded(x.data, (1, 1))
-    out_d[:, :, 1:-1, ::w + 1] = x.data[:, :, :, [0, -1]]  # first and last column
-    out_d[:, :, ::h + 1] = out_d[:, :, [1, -2]]  # first and last row, corners included
+    out_d[..., 1:-1, ::w + 1] = x.data[..., [0, -1]]  # first and last column
+    out_d[..., ::h + 1, :] = out_d[..., [1, -2], :]  # first and last row, corners included
     return _record("replicate_pad", (x,), out_d)
 
 
@@ -653,18 +701,21 @@ def _replicate_pad_backward(rec, grad_out):
 
 @_listed
 def concat_channels(xs):
-    """Concatenate along the channel axis, preserving input order."""
+    """Concatenate along the channel axis, preserving input order; leading axes broadcast."""
     xs = tuple(xs)
     if not xs:
         raise ContractError("concat_channels needs at least one tensor")
     _same_dtype(*xs)
     base = xs[0].dims
     for t in xs[1:]:
-        if (t.dims[0], t.dims[2], t.dims[3]) != (base[0], base[2], base[3]):
+        if (t.dims[-4], t.dims[-2], t.dims[-1]) != (base[-4], base[-2], base[-1]):
             raise ContractError(
                 f"concat_channels spatial/batch mismatch: {t.dims} vs {base}"
             )
-    return _record("concat_channels", xs, np.concatenate([t.data for t in xs], axis=1))
+    lead = _lead(*(t.data for t in xs))
+    parts = [t.data if t.dims[:-4] == lead else np.broadcast_to(t.data, lead + t.dims[-4:])
+             for t in xs]
+    return _record("concat_channels", xs, np.concatenate(parts, axis=-3))
 
 
 def _concat_channels_backward(rec, grad_out):
@@ -679,8 +730,10 @@ def _concat_channels_backward(rec, grad_out):
 
 @_listed
 def sum_all(x):
-    """Sum every element into a 1 x 1 x 1 x 1 scalar tensor."""
-    return _record("sum_all", (x,), x.data.sum(dtype=x.dtype).reshape(1, 1, 1, 1))
+    """Sum every element into a 1 x 1 x 1 x 1 scalar tensor, one per leading index."""
+    lead = x.dims[:-4]
+    total = x.data.reshape(lead + (-1,)).sum(axis=-1, dtype=x.dtype)
+    return _record("sum_all", (x,), total.reshape(lead + (1, 1, 1, 1)))
 
 
 def _sum_all_backward(rec, grad_out):

@@ -29,32 +29,49 @@ def run_cli(capsys):
     return run
 
 
+class ConvKernels(list):
+    """Input ``(N, C, H, W)`` dims of each conv kernel, once per probe a batched call computes.
+
+    ``calls`` counts the kernel calls themselves; ``clear()`` restarts both.
+    """
+
+    calls = 0
+
+    def clear(self):
+        super().clear()
+        self.calls = 0
+
+
 @pytest.fixture
 def conv_kernels(monkeypatch):
-    """The live list of input dims of every conv kernel the test computes; clear it to restart."""
-    calls = []
+    """The live :class:`ConvKernels` of every conv kernel the test computes."""
+    kernels = ConvKernels()
     original = tensor_core._conv_forward
 
-    def counted(*args):
-        calls.append(args[0].shape)
-        return original(*args)
+    def counted(xd, wd, bias_d, *args):
+        operands = [a for a in (xd, wd, bias_d) if a is not None]
+        probes = int(np.prod(np.broadcast_shapes(*(a.shape[:-4] for a in operands))))
+        kernels.calls += 1
+        kernels.extend([xd.shape[-4:]] * probes)
+        return original(xd, wd, bias_d, *args)
 
     monkeypatch.setattr(tensor_core, "_conv_forward", counted)
-    return calls
+    return kernels
 
 
 @pytest.fixture
 def rerun_probes(monkeypatch):
     """Call it to make later checks re-run their target whole at every probe.
 
-    Each probe calls the target on a fresh tape with its complex points
+    Each evaluation's batch of probes is split into single probes.  Each
+    probe calls the target on a fresh tape with its complex points
     ``x + i H u`` in the probed inputs' places (one input for a coordinate,
     every input for a joint direction or one of its halvings), compares the
     ``branch`` entry of every call it lists with the base forward's entry
     for that call, and reads ``Im(out) / H``: the reference that
-    recomputing only the probed inputs' compiled cone must equal.  Checks
-    made through ``gradcheck.grad_check`` or ``verify.grad_check`` are
-    affected.
+    recomputing only the probed inputs' compiled cone, a batch of probes
+    at once, must equal.  Checks made through ``gradcheck.grad_check`` or
+    ``verify.grad_check`` are affected.
     """
     from edgeneck import gradcheck, verify
     from edgeneck.tensor import Tape, Tensor
@@ -79,10 +96,10 @@ def rerun_probes(monkeypatch):
         def compile_only_the_leaves(calls, leaves, out):
             return leaves, None
 
-        def rerun(leaves, end, points):
+        def rerun_one(leaves, probe):
             args = list(base["leaves"])
             position = {id(t): k for k, t in enumerate(args)}
-            for leaf, point in zip(leaves, points):
+            for leaf, point in zip(leaves, probe):
                 args[position[id(leaf)]] = Tensor(point, requires_grad=True)
             with Tape() as tape:
                 value = base["fn"](*args).item().imag / gradcheck.H
@@ -90,6 +107,9 @@ def rerun_probes(monkeypatch):
             if len(got) != len(want) or not all(map(same, got, want)):
                 return None
             return value
+
+        def rerun(leaves, end, points):
+            return [rerun_one(leaves, probe) for probe in zip(*points)]
 
         monkeypatch.setattr(gradcheck, "grad_check", grad_check)
         monkeypatch.setattr(verify, "grad_check", grad_check)

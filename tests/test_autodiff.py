@@ -199,6 +199,7 @@ def test_calls_on_an_inner_tape_are_recomputed(conv_kernels, rerun_probes):
     # the base forward computes all three convs; each probe's one evaluation
     # computes two for x and w1 and one for w2, and reuses the guide's
     assert len(conv_kernels) == 3 + (2 * 32 + 2 * 54 + 1 * 6)
+    assert conv_kernels.calls == 3 + (2 + 2 + 1)  # one batch of probes per input
     rerun_probes()
     assert gradcheck.grad_check(_inner_taped, inputs).entries == report.entries
 

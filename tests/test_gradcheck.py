@@ -115,7 +115,7 @@ def test_a_branch_taken_on_an_inner_tape_is_guarded(rerun_probes):
 
 
 def _evaluations(monkeypatch):
-    """The live list of what each later probe evaluation returns, in order."""
+    """The live list of what each later cone evaluation returns, in order: a value per probe."""
     values = []
     original = gradcheck._derivative
 
@@ -174,7 +174,7 @@ def test_a_failed_directional_check_names_its_worst_input(monkeypatch):
     assert lines[0].startswith("pipeline.mul: FAILED probed=1 skipped=0 ")
     assert lines[0].endswith(" worst=y@direction")
     assert len(evaluations) == 2  # the direction, then one halving
-    direction, halving = evaluations  # y . u_x + x . u_y, then y . u_x
+    [direction], [halving] = evaluations  # y . u_x + x . u_y, then y . u_x
     assert abs(direction - halving) > abs(0.5 * halving)  # y's term outweighs x's
 
 
@@ -233,7 +233,7 @@ def test_a_halving_on_a_kink_names_the_first_input_left(monkeypatch):
     assert not report.ok
     assert [(e.probed, e.skipped) for e in report.entries] == [(1, 0)]
     assert report.entries[0].worst_input == "y"
-    assert len(evaluations) == 3 and evaluations[-1] is None
+    assert len(evaluations) == 3 and evaluations[-1] == [None]
 
 
 def test_directional_kink_guard_draws_replacements_within_budget():
@@ -268,11 +268,17 @@ def test_constant_target_reports_zero_gradients():
         ("x", 4, 0, 0.0), ("y", 6, 0, 0.0)]
 
 
-def _noting_square(seen):
-    """``t * t`` as an op that notes ``(label, t.data)`` at every call: what a probe feeds it."""
+def _noting_square(seen, calls=None):
+    """``t * t`` as an op that notes ``(label, data)`` per probe it squares: what a probe feeds it.
+
+    A call on a batch of probes notes each probe's ``(N, C, H, W)`` data in
+    batch order; ``calls``, when given, collects the label of each call.
+    """
     @tensor_core._listed
     def square(label, t):
-        seen.append((label, t.data.copy()))
+        seen.extend((label, data.copy()) for data in t.data.reshape((-1,) + t.data.shape[-4:]))
+        if calls is not None:
+            calls.append(label)
         return tensor_core._record("mul", (t, t), t.data * t.data)
     return square
 
@@ -282,8 +288,8 @@ def test_probe_draw_order_is_pinned(seed):
     """Probed coordinates follow ``np.argwhere(everywhere)[rng.permutation(n)]``, input by input."""
     r = rng(seed)
     start = {"a": r.standard_normal((1, 2, 3, 4)), "b": r.standard_normal((2, 1, 3, 2))}
-    seen = []
-    square = _noting_square(seen)
+    seen, calls = [], []
+    square = _noting_square(seen, calls)
 
     def fn(a, b):
         return en.add(en.sum_all(square("a", a)), en.sum_all(square("b", b)))
@@ -303,7 +309,8 @@ def test_probe_draw_order_is_pinned(seed):
         everywhere = np.ones(data.shape, bool)
         want += [(label, tuple(c))
                  for c in np.argwhere(everywhere)[draw.permutation(data.size)][:5]]
-    assert perturbed == want  # one evaluation per probe
+    assert perturbed == want  # one probe per coordinate
+    assert calls == ["a", "b", "a", "b"]  # the taped forward, then one batch per input
 
 
 def test_directional_probe_moves_all_inputs_along_one_drawn_direction():
@@ -375,6 +382,80 @@ def test_max_coords_caps_probe_count():
     assert report.entries[0].probed == 5
 
 
+@pytest.mark.parametrize("directional", [False, True])
+def test_no_inputs_is_refused(directional):
+    """An empty mapping has nothing to verify: no vacuous ``ok``, no ``IndexError``."""
+    with pytest.raises(ContractError, match="at least one input"):
+        grad_check(lambda: en.Tensor(np.ones((1, 1, 1, 1))), {}, directional=directional)
+
+
+@pytest.mark.parametrize("directional", [False, True])
+@pytest.mark.parametrize("max_coords", [0, -1])
+def test_max_coords_below_one_is_refused(max_coords, directional):
+    """A cap of no probes used to probe every coordinate."""
+    with pytest.raises(ContractError, match=f"max_coords must be >= 1, got {max_coords}"):
+        grad_check(lambda x: en.sum_all(en.mul(x, x)), {"x": np.ones((1, 1, 2, 2))},
+                   max_coords=max_coords, directional=directional)
+
+
+def _one_at_a_time(x, max_coords, seed):
+    """``(probed, skipped)`` of probing ``x``'s coordinates in permutation order, one by one.
+
+    A probe at an exact zero straddles the relu kink and is skipped; the walk
+    ends at ``max_coords`` verified probes or ``max(6 * max_coords,
+    max_coords + 12)`` attempted ones.
+    """
+    probed = skipped = 0
+    for i in rng(seed).permutation(x.size)[:max(6 * max_coords, max_coords + 12)]:
+        if x.flat[i] == 0:
+            skipped += 1
+        else:
+            probed += 1
+        if probed == max_coords:
+            break
+    return probed, skipped
+
+
+@pytest.mark.parametrize("zeros, max_coords", [(20, 6), (30, 2)])
+def test_kinked_probes_of_a_batch_are_replaced_in_rounds(monkeypatch, rerun_probes, zeros,
+                                                         max_coords):
+    """Some of x's probes sit on the relu kink, some do not: rounds replace the skipped ones.
+
+    The report equals probing one coordinate at a time, by batches of one
+    and by whole re-runs; with 30 zeros of 32 the budget of 14 attempts ends
+    the check before its second verified probe.
+    """
+    x = rng(32).choice([-1.5, -0.5, 0.5, 1.5], (1, 2, 4, 4))
+    x.flat[rng(33).permutation(x.size)[:zeros]] = 0.0
+    assert np.count_nonzero(x) == x.size - zeros
+
+    def check():
+        return gradcheck.grad_check(lambda t: en.sum_all(en.mul(en.relu(t), t)), {"x": x},
+                                    rng=rng(34), max_coords=max_coords)
+
+    evaluations = _evaluations(monkeypatch)
+    [entry] = check().entries
+    assert (entry.probed, entry.skipped) == _one_at_a_time(x, max_coords, 34)
+    assert entry.max_rel_err < 1e-14
+    assert len(evaluations) > 1  # a second round replaced skipped probes
+    assert sum(map(len, evaluations)) == entry.probed + entry.skipped
+    assert entry.probed + entry.skipped <= max(6 * max_coords, max_coords + 12)
+    monkeypatch.setattr(gradcheck, "_tile", lambda count, unit_bytes: 1)
+    assert check().entries == [entry]
+    rerun_probes()
+    assert check().entries == [entry]
+
+
+def test_a_seed_2_pass_runs_one_evaluation_per_input_and_direction(monkeypatch):
+    """All of an op or block input's coordinate probes are one batch; 78 inputs, 3 directions."""
+    evaluations = _evaluations(monkeypatch)
+    reports = [(label, run()) for label, run in verify.checks_for_scope("all", 2)]
+    assert all(report.ok for _, report in reports)
+    inputs = sum(len(report.entries) for label, report in reports if label != "pipeline.full")
+    assert inputs == 78
+    assert len(evaluations) == inputs + 3  # 787 evaluations of one probe each before
+
+
 def _two_convs(x, w1, w2):
     return en.sum_all(en.conv2d(en.conv2d(x, w1), w2))
 
@@ -393,6 +474,8 @@ def test_probes_recompute_only_the_convs_their_input_reaches(conv_kernels):
     # the taped forward computes both convs, then each probe's one evaluation
     # computes two for x and w1 and one for w2
     assert len(conv_kernels) == 2 + (2 * 32 + 2 * 54 + 1 * 6)
+    # each input's probes are one batch: one kernel call per conv in its cone
+    assert conv_kernels.calls == 2 + (2 + 2 + 1)
 
 
 def _constant_conv_loss(x, scalar=True):
@@ -439,6 +522,7 @@ def test_a_list_element_the_input_reaches_is_recomputed(conv_kernels, rerun_prob
     assert report.ok
     assert [(e.probed, e.skipped) for e in report.entries] == [(32, 0), (54, 0), (4, 0)]
     assert len(conv_kernels) == 1 + (32 + 54)  # y's probes reuse the conv
+    assert conv_kernels.calls == 1 + (1 + 1)
     rerun_probes()
     assert gradcheck.grad_check(_listed_in_concat, _concat_inputs()).entries == report.entries
 
@@ -456,6 +540,7 @@ def test_a_tensor_passed_by_keyword_is_recomputed(conv_kernels, rerun_probes):
     assert report.ok
     assert [(e.probed, e.skipped) for e in report.entries] == [(32, 0), (54, 0), (3, 0)]
     assert len(conv_kernels) == 1 + (32 + 54 + 3)
+    assert conv_kernels.calls == 1 + (1 + 1 + 1)
     rerun_probes()
     assert gradcheck.grad_check(_conv_by_keyword, inputs).entries == report.entries
 
@@ -467,6 +552,7 @@ def test_an_input_that_reaches_nothing_computes_no_kernel(conv_kernels):
     assert report.ok
     assert report.entries[3].probed == 4 and report.entries[3].max_rel_err == 0.0
     assert len(conv_kernels) == 2 + (2 * 32 + 2 * 54 + 1 * 6)  # as without the input
+    assert conv_kernels.calls == 2 + (2 + 2 + 1)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -478,17 +564,21 @@ def test_every_check_entry_equals_a_full_rerun(rerun_probes, seed):
     assert [run().entries for _, run in checks] == cones
 
 
-@pytest.mark.parametrize("label, count", [("block.edge_attention", 218), ("pipeline.full", 240)])
-def test_constant_kernels_are_reused(conv_kernels, label, count):
+@pytest.mark.parametrize("label, count, calls", [("block.edge_attention", 218, 26),
+                                                 ("pipeline.full", 240, 240)])
+def test_constant_kernels_are_reused(conv_kernels, label, count, calls):
     """Probes compute only the convs their inputs reach; deep_sobel's kernels are constants.
 
     Each count is the base forward's convs plus one cone recomputation per
     probe: per coordinate for the block, per direction for the pipeline's three.
+    The block's coordinates of one input are one batch, one kernel call per
+    conv of its cone; the pipeline's directions are one call each.
     """
     [run] = [run for name, run in block_checks(1) + pipeline_check(1) if name == label]
     conv_kernels.clear()
     run()
     assert len(conv_kernels) == count
+    assert conv_kernels.calls == calls
 
 
 def _recorded_stores(monkeypatch):

@@ -37,6 +37,11 @@ class TestTensorType:
         with pytest.raises(ContractError):
             en.Tensor(np.zeros((3, 3)))
 
+    def test_rejects_a_leading_probe_axis(self):
+        # ops take data with leading axes, but only the gradient checker builds such tensors
+        with pytest.raises(ContractError, match="must be 4-D"):
+            en.Tensor(np.zeros((3, 1, 1, 2, 2)))
+
     def test_rejects_integer_buffers(self):
         with pytest.raises(ContractError):
             en.Tensor(np.zeros((1, 1, 2, 2), np.int32))
@@ -261,6 +266,33 @@ class TestConv2d:
             en.backward(tape, loss)
             monkeypatch.setattr(np, "matmul", matmul)
             check(unit=n * k * ow * x.itemsize if needs_x else k // 3 * n * oh * ow * x.itemsize)
+
+    # Three probes of the test_tile_seams x share each forward column buffer: a row of
+    # them is 3 * 1728 bytes, so 1 byte gives one-row tiles and 2 * 3 * 1728 two rows.
+    @pytest.mark.parametrize("tile_bytes", [1, 2 * 3 * 1728, 20000])
+    def test_every_column_buffer_of_a_batched_conv_keeps_the_tile_bound(self, monkeypatch,
+                                                                        tile_bytes):
+        monkeypatch.setattr(tensor_core, "_TILE_BYTES", tile_bytes)
+        r = rng(43)
+        x = r.standard_normal((3, 2, 3, 7, 6))
+        w = r.standard_normal((4, 3, 3, 2))
+        spec = en.ConvSpec(stride=(2, 1), padding=(2, 1), dilation=(1, 2))
+        n, k = 2, 3 * 3 * 2
+        oh, ow = spec.out_hw(7, 6, 3, 2)
+        built = []
+        taps = tensor_core._taps
+
+        def recorded_taps(*args):
+            view = taps(*args)
+            built.append(view.nbytes)
+            return view
+
+        monkeypatch.setattr(tensor_core, "_taps", recorded_taps)
+        got = en.conv2d(tensor_core._tensor(x, False), en.Tensor(w), spec=spec).data
+        assert built and max(built) <= max(tile_bytes, 3 * n * k * ow * x.itemsize), built
+        assert sum(built) == 3 * n * k * oh * ow * x.itemsize, built
+        for p in range(3):
+            assert_within_rounding_bound(got[p], x[p], w, np.zeros((1, 4, 1, 1)), spec)
 
     def test_zero_output_dim_yields_empty(self):
         y = en.conv2d(en.Tensor(np.ones((1, 1, 3, 4), np.float32)),
@@ -525,3 +557,82 @@ class TestRefusals:
         ones = tuple(1 if i == axis else d for i, d in enumerate(a))  # broadcasts either way
         assert call(op, [en.Tensor(np.ones(a)), en.Tensor(np.ones(ones))]).dims == a
         assert call(op, [en.Tensor(np.ones(ones)), en.Tensor(np.ones(a))]).dims == a
+
+
+def _probe_values(r, dims, complex_step):
+    """Values with exact zeros and ties; a complex step adds ``i H`` of either sign, or none."""
+    data = r.integers(-2, 3, dims) * 0.5
+    data[r.random(dims) < 0.2] = -0.0
+    if complex_step:
+        return data + 1j * 1e-30 * r.integers(-1, 2, dims)
+    return data
+
+
+# each forward op and its operand dims, broadcasting where the op allows
+LEADING = {
+    "conv2d": (lambda x, w, b: en.conv2d(x, w, b, en.ConvSpec(stride=(2, 1), padding=(2, 1),
+                                                               dilation=(1, 2))),
+               [(2, 3, 7, 6), (4, 3, 3, 2), (1, 4, 1, 1)]),
+    "add": (en.add, [(2, 3, 4, 4), (1, 3, 1, 1)]),
+    "mul": (en.mul, [(1, 1, 3, 3), (1, 4, 3, 3)]),
+    "relu": (en.relu, [(1, 3, 4, 4)]),
+    "sigmoid": (en.sigmoid, [(1, 2, 3, 3)]),
+    "edge_magnitude": (en.edge_magnitude, [(1, 2, 4, 4), (1, 2, 4, 4)]),
+    "global_avg_pool": (en.global_avg_pool, [(2, 3, 4, 5)]),
+    "global_max_pool": (en.global_max_pool, [(2, 3, 4, 5)]),
+    "up2_nearest": (en.up2_nearest, [(1, 2, 3, 3)]),
+    "down2_max": (en.down2_max, [(2, 2, 4, 6)]),
+    "replicate_pad": (en.replicate_pad, [(1, 2, 3, 4)]),
+    "concat_channels": (lambda *xs: en.concat_channels(list(xs)),
+                        [(1, 2, 3, 3), (1, 1, 3, 3), (1, 3, 3, 3)]),
+    "sum_all": (en.sum_all, [(2, 3, 4, 5)]),
+}
+
+
+def test_leading_cases_cover_every_op():
+    assert set(LEADING) == set(tensor_core.BACKWARD)
+
+
+def _taped(op, tensors):
+    """``op(*tensors)`` on a tape: its data and its ``branch`` entry, ``None`` if it has none."""
+    with en.Tape() as tape:
+        out = op(*tensors)
+    return out.data, tape.records[-1].saved.get("branch")
+
+
+@pytest.mark.parametrize("kind", ["f64", "c128"])
+@pytest.mark.parametrize("name, stacked", [
+    (name, stacked) for name, (_, dims) in LEADING.items()
+    for stacked in [(k,) for k in range(len(dims))] + ([tuple(range(len(dims)))]
+                                                       if len(dims) > 1 else [])])
+def test_a_leading_axis_equals_the_stacked_4d_calls(name, stacked, kind):
+    """Three probes along a leading axis give, bit for bit, what three 4-D calls give.
+
+    The operands in ``stacked`` carry the axis (complex for ``c128``, as a
+    gradient checker's probes are); the others are shared float64 operands
+    that broadcast against it.  Branch entries are compared too.
+    """
+    op, dims = LEADING[name]
+    r = rng(50 + len(stacked))
+    data = [np.stack([_probe_values(r, d, kind == "c128") for _ in range(3)])
+            if k in stacked else _probe_values(r, d, False) for k, d in enumerate(dims)]
+    batched, branch = _taped(op, [tensor_core._tensor(a, True) for a in data])
+    for p in range(3):
+        want, want_branch = _taped(op, [en.Tensor(a[p] if k in stacked else a, requires_grad=True)
+                                        for k, a in enumerate(data)])
+        assert batched.dtype == want.dtype and batched[p].shape == want.shape
+        assert batched[p].tobytes() == want.tobytes()
+        if want_branch is None:
+            assert branch is None
+        else:
+            assert branch[p].shape == want_branch.shape
+            assert branch[p].tobytes() == want_branch.tobytes()
+
+
+@pytest.mark.parametrize("op", ["add", "conv2d", "concat_channels"])
+def test_leading_axes_that_do_not_broadcast_are_refused(op):
+    dims = {"add": [(1, 1, 2, 2), (1, 1, 2, 2)], "conv2d": [(1, 1, 3, 3), (2, 1, 1, 1)],
+            "concat_channels": [(1, 1, 2, 2), (1, 2, 2, 2)]}[op]
+    tensors = [tensor_core._tensor(np.ones((lead,) + d), True) for lead, d in zip((2, 3), dims)]
+    with pytest.raises(ContractError):
+        call(op, tensors)
