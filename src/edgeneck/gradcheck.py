@@ -345,8 +345,8 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
         if directional:
             directions = _directions(group, analytic, rng)
         else:
-            flat = np.arange(group[0].data.size)
-            order = flat[rng.permutation(flat.size)] if max_coords is not None else flat
+            size = group[0].data.size
+            order = np.arange(size) if max_coords is None else rng.permutation(size)
             # bytes of the largest value the cone recomputes, complex128, per probe
             width = 16 * max((result.data.size for _, result, _ in calls), default=0)
         probed = 0
