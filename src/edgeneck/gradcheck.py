@@ -24,10 +24,13 @@ One evaluation carries a batch of probes along a leading axis of the
 leaves' points, which the ops broadcast over (the vector forward mode of
 Griewank and Walther, "Evaluating Derivatives", 2008, section 3, with
 complex steps for tangents).  An input's coordinate probes are evaluated
-in batches of as many as keep the largest value the cone recomputes, at
-complex128, within ``tensor._TILE_BYTES`` (at least one); each op and
-block check takes one batch per input.  The joint directions, and their
-halvings, are batches of one: their cone is the whole target.
+in batches of as many as keep the probed leaf's points, and each value the
+cone recomputes, at complex128 within ``tensor._TILE_BYTES`` (at least one
+probe).  The bound is per value: an evaluation keeps every value of its
+cone, so it holds at most ``_TILE_BYTES`` times the cone's length beyond
+one probe's worth.  Each op and block check takes one batch per input.
+The joint directions, and their halvings, are batches of one: their cone
+is the whole target.
 
 The complex step is linear in ``u``, so the signed residual ``sum(g * u) -
 Im f / H`` of a joint direction is a sum of one term per input.  Each
@@ -237,23 +240,16 @@ def _directions(leaves, analytic, rng):
         yield points, _slope(analytic, points)
 
 
-def _coordinates(cone, end, leaf, g, at, width):
-    """``(slope, numeric, at)`` of the one-hot probes of ``leaf`` at the flat indices ``at``.
+def _coordinates(leaf, at):
+    """The complex points of the one-hot probes of ``leaf`` at the flat indices ``at``.
 
-    The probes are evaluated in order, in batches of as many as keep
-    ``width``, the bytes one probe adds to the largest value the cone
-    recomputes, within ``_TILE_BYTES`` (at least one): probe ``p`` of a
-    batch is a complex copy of the leaf with ``H`` at its own coordinate.
+    Probe ``p`` is a complex copy of the leaf with ``H`` at coordinate
+    ``at[p]``, along a leading probe axis.
     """
-    results = []
-    step = _tile(len(at), width)
-    for start in range(0, len(at), step):
-        batch = at[start:start + step]
-        points = np.empty((len(batch),) + leaf.dims, np.complex128)
-        points[...] = leaf.data
-        points.reshape(len(batch), -1).imag[np.arange(len(batch)), batch] = H
-        results += zip(g.flat[batch].tolist(), _derivative(cone, end, [points]), batch.tolist())
-    return results
+    points = np.empty((len(at),) + leaf.dims, np.complex128)
+    points[...] = leaf.data
+    points.reshape(len(at), -1).imag[np.arange(len(at)), at] = H
+    return points
 
 
 def _localise(cone, end, leaves, analytic, points, residual):
@@ -296,11 +292,12 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     ``max_coords`` (at least 1) caps the verified probes per input: the
     row-major flat indices of its coordinates are shuffled by
     ``rng.permutation`` (``rng`` seeded to 0 when omitted) and probed in
-    rounds.  A round takes the next ``target - probed`` coordinates in that
-    order, in batches bounded by ``_TILE_BYTES``, so a probe the kink guard
-    skips is replaced in the next round, attempting at most ``max(6 *
-    max_coords, max_coords + 12)``: the coordinates attempted are those of
-    probing one at a time.
+    batches.  A batch takes the next coordinates in that order, no more
+    than are still to verify and than keep the leaf's points and each value
+    the cone recomputes within ``_TILE_BYTES`` (at least one), so a probe
+    the kink guard skips is replaced by a later batch, attempting at most
+    ``max(6 * max_coords, max_coords + 12)``: the coordinates attempted are
+    those of probing one at a time.
 
     With ``directional`` the report has one entry: directions over all
     inputs together, one per evaluation, each input's part drawn in order
@@ -347,25 +344,27 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
         else:
             size = group[0].data.size
             order = np.arange(size) if max_coords is None else rng.permutation(size)
-            # bytes of the largest value the cone recomputes, complex128, per probe
-            width = 16 * max((result.data.size for _, result, _ in calls), default=0)
+            # probes per batch: each adds a complex128 copy of the leaf and of
+            # every value the cone recomputes, the largest bounded by _TILE_BYTES
+            step = _tile(size, 16 * max([size] + [result.data.size for _, result, _ in calls]))
         probed = 0
         skipped = 0
         worst = 0.0
         worst_at = residual = None
-        # rounds of as many probes as are still to verify replace the ones the
-        # kink guard skips, within a bounded budget; a failed direction ends the
-        # check, localised while its points are drawn
+        # batches of at most as many probes as are still to verify replace the
+        # ones the kink guard skips, within a bounded budget; a failed direction
+        # ends the check, localised while its points are drawn
         while probed < target and probed + skipped < budget and not (directional and worst > TOL):
             if directional:
                 points, slope = next(directions)
                 results = zip([slope], _derivative(cone, end, points), [points])
             else:
                 attempted = probed + skipped
-                at = order[attempted:attempted + min(target - probed, budget - attempted)]
+                at = order[attempted:attempted + min(target - probed, budget - attempted, step)]
                 if not at.size:
                     break
-                results = _coordinates(cone, end, group[0], analytic[0], at, width)
+                derivatives = _derivative(cone, end, [_coordinates(group[0], at)])
+                results = zip(analytic[0].flat[at].tolist(), derivatives, at.tolist())
             for slope, numeric, at in results:
                 if numeric is None:
                     skipped += 1

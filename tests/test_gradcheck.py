@@ -419,7 +419,7 @@ def _one_at_a_time(x, max_coords, seed):
 @pytest.mark.parametrize("zeros, max_coords", [(20, 6), (30, 2)])
 def test_kinked_probes_of_a_batch_are_replaced_in_rounds(monkeypatch, rerun_probes, zeros,
                                                          max_coords):
-    """Some of x's probes sit on the relu kink, some do not: rounds replace the skipped ones.
+    """Some of x's probes sit on the relu kink, some do not: later batches replace the skipped ones.
 
     The report equals probing one coordinate at a time, by batches of one
     and by whole re-runs; with 30 zeros of 32 the budget of 14 attempts ends
@@ -437,13 +437,39 @@ def test_kinked_probes_of_a_batch_are_replaced_in_rounds(monkeypatch, rerun_prob
     [entry] = check().entries
     assert (entry.probed, entry.skipped) == _one_at_a_time(x, max_coords, 34)
     assert entry.max_rel_err < 1e-14
-    assert len(evaluations) > 1  # a second round replaced skipped probes
+    assert len(evaluations) > 1  # a second batch replaced skipped probes
     assert sum(map(len, evaluations)) == entry.probed + entry.skipped
     assert entry.probed + entry.skipped <= max(6 * max_coords, max_coords + 12)
     monkeypatch.setattr(gradcheck, "_tile", lambda count, unit_bytes: 1)
     assert check().entries == [entry]
     rerun_probes()
     assert check().entries == [entry]
+
+
+@pytest.mark.parametrize("dims, max_coords", [((1, 1, 32, 32), None), ((1, 1, 363, 363), 4)])
+def test_a_batch_keeps_the_probed_leaf_within_the_tile_bound(monkeypatch, dims, max_coords):
+    """A reduction's cone computes values smaller than its leaf: the leaf's points count too.
+
+    Each batch's points stay within ``_TILE_BYTES``, or hold one probe when
+    one complex copy of the leaf is larger.
+    """
+    sizes = []
+    original = gradcheck._derivative
+
+    def sized(cone, end, points):
+        sizes.append((len(points[0]), points[0].nbytes))
+        return original(cone, end, points)
+
+    monkeypatch.setattr(gradcheck, "_derivative", sized)
+    x = rng(35).standard_normal(dims)
+    report = grad_check(lambda t: en.sum_all(en.global_avg_pool(t)), {"x": x},
+                        max_coords=max_coords)
+    assert report.ok
+    one = 16 * x.size
+    per_batch = max(1, tensor_core._TILE_BYTES // one)
+    assert all(nbytes <= max(tensor_core._TILE_BYTES, one) for _, nbytes in sizes)
+    probes = max_coords or x.size
+    assert [count for count, _ in sizes] == [per_batch] * (probes // per_batch)
 
 
 def test_a_seed_2_pass_runs_one_evaluation_per_input_and_direction(monkeypatch):
