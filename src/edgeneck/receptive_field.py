@@ -11,7 +11,10 @@ the block:
     out = relu(branch5(x) * adjust(concat(branch1..4(x))))
 
 All convolutions pad to preserve H x W, so the block is shape-preserving
-for any spatial extent.
+for any spatial extent.  On a map narrower than a branch's reach
+(2k-1)(k-1) the outer taps of its long kernels read only that padding
+(4 of branch 4's 7 on a 9x9 map, all but the centre on 2x2), and the
+convolution skips them.
 """
 
 from __future__ import annotations

@@ -34,7 +34,9 @@ The summation order is the BLAS library's, so results agree with a scalar
 nested-loop reference within the rounding-error bound of a length-``L``
 dot product (``L = C*kH*kW`` forward, ``N*OH*OW`` for the weight gradient,
 ``C_out*kH*kW`` for the input gradient), not bit-for-bit; they are
-deterministic on one machine.
+deterministic on one machine.  The forward skips each tap that reads only
+the zero border (a dilated tap past a narrow map's edge), so its dot
+products have ``C*(live taps)`` terms; the bound with the full ``L`` holds.
 """
 
 from __future__ import annotations
@@ -320,10 +322,11 @@ def conv2d(x, weight, bias=None, spec=ConvSpec()):
     ``weight`` dims are ``(C_out, C_in, kH, kW)``; an optional bias has
     dims ``(1, C_out, 1, 1)``; leading axes of all three broadcast.
     Computed as im2col plus GEMM over row
-    tiles of at most ``_TILE_BYTES`` of columns; each output element is a
-    length-``C_in*kH*kW`` dot product summed in the BLAS library's order,
-    so it is deterministic on one machine but not bit-exact across
-    platforms.
+    tiles of at most ``_TILE_BYTES`` of columns; taps that read only the
+    zero border for every output are skipped, so each output element is a
+    dot product of ``C_in*(live taps)`` terms, at most ``C_in*kH*kW``,
+    summed in the BLAS library's order: deterministic on one machine but
+    not bit-exact across platforms.
     """
     dtype = _same_dtype(x, weight, bias)
     n, c, h, w = x.data.shape[-4:]
@@ -362,19 +365,32 @@ def _padded(xd, padding):
     return xp
 
 
-def _taps(xp, kh, kw, spec, c0, cc, row0, rows, ow):
+def _taps(xp, kh, kw, spec, c0, cc, row0, rows, ow, ky0=0, kx0=0):
     """Read-only im2col view ``(..., N, cc, kH, kW, rows, OW)`` from channel ``c0``, row ``row0``.
 
     ``xp`` is the view's buffer, so it must be C-contiguous; its leading
-    axes are kept, and ``row0`` counts output rows.
+    axes are kept, ``row0`` counts output rows, and tap ``(ky0, kx0)`` is first.
     """
     sc, sh, sw = xp.strides[-3:]
     (sy, sx), (dy, dx) = spec.stride, spec.dilation
     cols = np.ndarray(xp.shape[:-3] + (cc, kh, kw, rows, ow), xp.dtype, xp,
-                      c0 * sc + row0 * sy * sh,
+                      c0 * sc + (row0 * sy + ky0 * dy) * sh + kx0 * dx * sw,
                       xp.strides[:-3] + (sc, sh * dy, sw * dx, sh * sy, sw * sx))
     cols.flags.writeable = False
     return cols
+
+
+def _live_taps(size, out, pad, stride, dilation, k):
+    """The taps ``[t0, t1)`` of one kernel axis that can read the image, not only its zero border.
+
+    Tap ``t`` at output ``o`` reads image index ``o*stride + t*dilation - pad``.
+    The range keeps every tap whose reads, first output to last, span some
+    of ``[0, size)``: at stride 1 exactly the taps that read the image, at a
+    larger stride also any that step over it.  An empty range is ``(0, 0)``.
+    """
+    t0 = max(0, -(((out - 1) * stride - pad) // dilation))  # ceil((pad - (out-1)*stride) / d)
+    t1 = min(k, (size - 1 + pad) // dilation + 1)
+    return (t0, t1) if t0 < t1 else (0, 0)
 
 
 def _tile(count, unit_bytes):
@@ -389,14 +405,18 @@ def _conv_forward(xd, wd, bias_d, spec, oh, ow, dtype):
     share each row tile's columns, and one GEMM per image and leading
     index of ``wd`` writes them.
     """
-    n, c = xd.shape[-4:-2]
+    n, c, h, w = xd.shape[-4:]
     c_out, _, kh, kw = wd.shape[-4:]
-    k = c * kh * kw
     images = xd.shape[:-3]  # the leading axes and N
     out = np.empty(_lead(xd, wd) + (n, c_out, oh * ow), dtype)  # the row tiles write every element
     if out.size:
+        # a tap that reads only the zero border adds nothing: im2col and the GEMM skip it
+        (y0, y1), (x0, x1) = (_live_taps(*axis) for axis in zip(
+            (h, w), (oh, ow), spec.padding, spec.stride, spec.dilation, (kh, kw)))
+        kh, kw, k = y1 - y0, x1 - x0, c * (y1 - y0) * (x1 - x0)
         xp = _padded(xd, spec.padding)
-        w2 = wd.reshape(wd.shape[:-4] + (1, c_out, k))  # one matrix for all N images
+        # one matrix for all N images; a copy only when taps were dropped
+        w2 = wd[..., y0:y1, x0:x1].reshape(wd.shape[:-4] + (1, c_out, k))
         # complex x against a real w: one real GEMM over the columns read as
         # interleaved (re, im) pairs, half the work of a complex GEMM
         pair = 2 if xd.dtype == np.complex128 and wd.dtype == np.float64 else 1
@@ -405,7 +425,8 @@ def _conv_forward(xd, wd, bias_d, spec, oh, ow, dtype):
         for row0 in range(0, oh, step):
             rows = min(step, oh - row0)
             # a view for an unpadded 1x1 stride-1 conv; otherwise the im2col copy
-            cols = _taps(xp, kh, kw, spec, 0, c, row0, rows, ow).reshape(images + (k, rows * ow))
+            cols = _taps(xp, kh, kw, spec, 0, c, row0, rows, ow, y0, x0)
+            cols = cols.reshape(images + (k, rows * ow))
             if pair == 2:  # a strided 1x1 conv's one-row view is not contiguous
                 cols = np.ascontiguousarray(cols).view(np.float64)
             np.matmul(w2, cols, out=sink[..., pair * row0 * ow:pair * (row0 + rows) * ow])

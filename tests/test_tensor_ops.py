@@ -18,8 +18,8 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def assert_within_rounding_bound(got, x, w, b, spec):
-    """|got - want| <= 2*gamma(K+1) * (sum|x||w| + |b|) elementwise, in float64.
+def assert_within_rounding_bound(got, x, w, b, spec, u=2.0 ** -53):
+    """|got - want| <= 2*gamma(K+1) * (sum|x||w| + |b|) elementwise, at unit roundoff ``u``.
 
     ``want`` is the loop oracle; each side is within gamma(K+1) of the
     exact sum (Higham 2002, 3.1), hence the factor 2.  Any wrong tap,
@@ -29,7 +29,7 @@ def assert_within_rounding_bound(got, x, w, b, spec):
     want = conv2d_reference(x, w, b, *args)
     magnitude = conv2d_reference(np.abs(x), np.abs(w), np.abs(b), *args)
     k = w.shape[1] * w.shape[2] * w.shape[3]
-    assert np.all(np.abs(got - want) <= 2 * gamma(k + 1) * magnitude)
+    assert np.all(np.abs(got - want) <= 2 * gamma(k + 1, u) * magnitude)
 
 
 class TestTensorType:
@@ -321,6 +321,100 @@ class TestConv2d:
             parts = (a * en.conv2d(en.Tensor(x), w, spec=spec).data
                      + b * en.conv2d(en.Tensor(y), w, spec=spec).data)
             assert np.max(np.abs(mixed - parts)) < tol
+
+
+def _wide_field_specs():
+    """The long convs of WideFieldBlock's branches 2..4: (kernel dims, spec)."""
+    for k in (2, 3, 4):
+        d = 2 * k - 1
+        pad = d * (d - 1) // 2
+        yield (1, d), en.ConvSpec(padding=(0, pad), dilation=(d, d))
+        yield (d, 1), en.ConvSpec(padding=(pad, 0), dilation=(d, d))
+
+
+class TestDeadTaps:
+    """Taps that read only the zero border are left out of the im2col columns and the GEMM."""
+
+    def test_live_range_against_brute_force(self):
+        for size, pad, stride, dil, k in itertools.product(
+                range(1, 8), range(6), (1, 2, 3, 7), range(1, 5), range(1, 6)):
+            out = (size + 2 * pad - dil * (k - 1) - 1) // stride + 1
+            if out < 1:
+                continue
+            live = {t for t in range(k)
+                    if any(0 <= o * stride + t * dil - pad < size for o in range(out))}
+            t0, t1 = tensor_core._live_taps(size, out, pad, stride, dil, k)
+            case = (size, pad, stride, dil, k)
+            assert 0 <= t0 <= t1 <= k, case
+            assert live <= set(range(t0, t1)), case  # no tap that reads the image is dropped
+            if stride == 1:
+                assert set(range(t0, t1)) == live, case
+
+    def test_a_conv_whose_every_tap_is_dead_gives_the_bias(self):
+        r = rng(46)
+        x, w, b = r.standard_normal((1, 2, 1, 1)), r.standard_normal((3, 2, 1, 1)), \
+            r.standard_normal((1, 3, 1, 1))
+        spec = en.ConvSpec(stride=3, padding=1)  # one output, reading the corner of the border
+        wt = en.Tensor(w, requires_grad=True)
+        with en.Tape() as tape:
+            y = en.conv2d(en.Tensor(x), wt, en.Tensor(b), spec)
+            loss = en.sum_all(en.mul(y, y))
+        en.backward(tape, loss)
+        assert np.array_equal(y.data, b)
+        assert np.array_equal(wt.grad, np.zeros_like(w))
+        report = grad_check(lambda x, w, b: en.sum_all(en.mul(*(en.conv2d(x, w, b, spec),) * 2)),
+                            {"x": x, "w": w, "b": b})
+        assert report.ok, report.format()
+
+    @pytest.mark.parametrize("hw", [9, 2, 1])
+    @pytest.mark.parametrize("kind", ["f32", "f64", "c128", "lead_x", "lead_w"])
+    def test_wide_field_convs_on_narrow_maps_match_the_oracle(self, kind, hw):
+        # 9x9 is block.wide_field's map; at 2x2 and 1x1 only the centre tap reads the image
+        r = rng(47)
+        for kdims, spec in _wide_field_specs():
+            x = r.standard_normal((2, 3, hw, hw))
+            w = r.standard_normal((4, 3) + kdims)
+            b = r.standard_normal((1, 4, 1, 1))
+            if kind in ("f32", "f64"):
+                dtype = np.float32 if kind == "f32" else np.float64
+                x, w, b = (a.astype(dtype) for a in (x, w, b))
+                got = en.conv2d(en.Tensor(x), en.Tensor(w), en.Tensor(b), spec).data
+                assert got.dtype == dtype
+                assert_within_rounding_bound(got, x, w, b, spec, np.finfo(dtype).eps / 2)
+            elif kind == "c128":  # a complex-step probe of x against the real weight
+                x = x + 1j * r.standard_normal(x.shape)
+                got = en.conv2d(en.Tensor(x), en.Tensor(w), en.Tensor(b), spec).data
+                assert_within_rounding_bound(got.real, x.real, w, b, spec)
+                assert_within_rounding_bound(got.imag, x.imag, w, 0 * b, spec)
+            else:  # three complex probes along a leading axis of x or of w
+                on_x = kind == "lead_x"
+                steps = r.standard_normal((3,) + (x if on_x else w).shape)
+                xs, ws = (x + 1j * steps, w) if on_x else (x, w + 1j * steps)
+                got = en.conv2d(tensor_core._tensor(xs, False), tensor_core._tensor(ws, False),
+                                en.Tensor(b), spec).data
+                for p in range(3):
+                    # the imaginary part is the conv with the probed operand's imaginary part
+                    im_x, im_w = (steps[p], w) if on_x else (x, steps[p])
+                    assert_within_rounding_bound(got[p].real, x, w, b, spec)
+                    assert_within_rounding_bound(got[p].imag, im_x, im_w, 0 * b, spec)
+
+    def test_branch_four_row_conv_builds_three_tap_columns_on_a_nine_wide_map(self, monkeypatch):
+        # offsets -21..21 step 7 on 9 columns: only -7, 0 and +7 ever read the image
+        built = []
+        taps = tensor_core._taps
+
+        def recorded_taps(*args):
+            view = taps(*args)
+            built.append(view.shape)
+            return view
+
+        monkeypatch.setattr(tensor_core, "_taps", recorded_taps)
+        r = rng(48)
+        x, w = r.standard_normal((1, 32, 9, 9)), r.standard_normal((32, 32, 1, 7))
+        spec = en.ConvSpec(padding=(0, 21), dilation=(7, 7))
+        got = en.conv2d(en.Tensor(x), en.Tensor(w), spec=spec).data
+        assert built and all(shape[-4:-2] == (1, 3) for shape in built), built
+        assert_within_rounding_bound(got, x, w, np.zeros((1, 32, 1, 1)), spec)
 
 
 class TestElementwise:
