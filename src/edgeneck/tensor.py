@@ -411,8 +411,9 @@ def _conv_forward(xd, wd, bias_d, spec, oh, ow, dtype):
     out = np.empty(_lead(xd, wd) + (n, c_out, oh * ow), dtype)  # the row tiles write every element
     if out.size:
         # a tap that reads only the zero border adds nothing: im2col and the GEMM skip it
-        (y0, y1), (x0, x1) = (_live_taps(*axis) for axis in zip(
-            (h, w), (oh, ow), spec.padding, spec.stride, spec.dilation, (kh, kw)))
+        (sy, sx), (py, px), (dy, dx) = spec.stride, spec.padding, spec.dilation
+        y0, y1 = _live_taps(h, oh, py, sy, dy, kh)
+        x0, x1 = _live_taps(w, ow, px, sx, dx, kw)
         kh, kw, k = y1 - y0, x1 - x0, c * (y1 - y0) * (x1 - x0)
         xp = _padded(xd, spec.padding)
         # one matrix for all N images; a copy only when taps were dropped
