@@ -383,14 +383,13 @@ def _taps(xp, kh, kw, spec, c0, cc, row0, rows, ow, ky0=0, kx0=0):
 def _live_taps(size, out, pad, stride, dilation, k):
     """The taps ``[t0, t1)`` of one kernel axis that can read the image, not only its zero border.
 
-    Tap ``t`` at output ``o`` reads image index ``o*stride + t*dilation - pad``.
-    The range keeps every tap whose reads, first output to last, span some
-    of ``[0, size)``: at stride 1 exactly the taps that read the image, at a
-    larger stride also any that step over it.  An empty range is ``(0, 0)``.
+    Tap ``t`` at output ``o`` reads image index ``o*stride + t*dilation - pad``.  Kept is
+    each tap whose reads, first output to last, span part of ``[0, size)``: at stride 1
+    exactly the live taps, at a larger stride also any that step over the image.
     """
     t0 = max(0, -(((out - 1) * stride - pad) // dilation))  # ceil((pad - (out-1)*stride) / d)
     t1 = min(k, (size - 1 + pad) // dilation + 1)
-    return (t0, t1) if t0 < t1 else (0, 0)
+    return (t0, t1) if t0 < t1 else (0, 0)  # no live tap
 
 
 def _tile(count, unit_bytes):
