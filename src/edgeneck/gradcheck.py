@@ -23,14 +23,17 @@ computes only through ops.
 One evaluation carries a batch of probes along a leading axis of the
 leaves' points, which the ops broadcast over (the vector forward mode of
 Griewank and Walther, "Evaluating Derivatives", 2008, section 3, with
-complex steps for tangents).  An input's coordinate probes are evaluated
-in batches of as many as keep the probed leaf's points, and each value the
-cone recomputes, at complex128 within ``tensor._TILE_BYTES`` (at least one
+complex steps for tangents).  An entry's probes, one input's coordinates
+or the joint directions over all inputs, are evaluated in batches of as
+many as keep the entry's leaves' points, and each value the cone
+recomputes, at complex128 within ``tensor._TILE_BYTES`` (at least one
 probe).  The bound is per value: an evaluation keeps every value of its
 cone, so it holds at most ``_TILE_BYTES`` times the cone's length beyond
-one probe's worth.  Each op and block check takes one batch per input.
-The joint directions, and their halvings, are batches of one: their cone
-is the whole target.
+one probe's worth.  The points live in one complex buffer per leaf whose
+real parts are filled once per entry; a batch writes only its imaginary
+parts.  Each op and block check takes one batch per input.  The leaves of
+``verify.pipeline_check`` alone fill the bound, so its directions are one
+per evaluation, as is each halving of a failed direction.
 
 The complex step is linear in ``u``, so the signed residual ``sum(g * u) -
 Im f / H`` of a joint direction is a sum of one term per input.  Each
@@ -222,36 +225,6 @@ def _slope(analytic, points):
     return sum(float(np.vdot(g, point.imag)) for g, point in zip(analytic, points)) / H
 
 
-def _directions(leaves, analytic, rng):
-    """``(points, slope)`` for each joint direction ``u`` over ``leaves``, one probe each.
-
-    ``points`` holds the complex ``x + i H u`` of each leaf, with a leading
-    probe axis of 1, and ``slope`` the analytic ``sum(g * u)``.  Each
-    direction draws its part of each leaf from ``rng.standard_normal``,
-    leaf by leaf, divided by ``max(1, |g|)`` of that leaf's gradient ``g``,
-    into the imaginary parts of one complex copy of each leaf: the points
-    are valid until the next direction is drawn.
-    """
-    steps = [H / max(1.0, math.sqrt(float(np.vdot(g, g)))) for g in analytic]
-    points = [leaf.data.astype(np.complex128)[None] for leaf in leaves]
-    while True:
-        for point, leaf, step in zip(points, leaves, steps):
-            point.imag = rng.standard_normal(leaf.dims) * step
-        yield points, _slope(analytic, points)
-
-
-def _coordinates(leaf, at):
-    """The complex points of the one-hot probes of ``leaf`` at the flat indices ``at``.
-
-    Probe ``p`` is a complex copy of the leaf with ``H`` at coordinate
-    ``at[p]``, along a leading probe axis.
-    """
-    points = np.empty((len(at),) + leaf.dims, np.complex128)
-    points[...] = leaf.data
-    points.reshape(len(at), -1).imag[np.arange(len(at)), at] = H
-    return points
-
-
 def _localise(cone, end, leaves, analytic, points, residual):
     """Index of the leaf that the signed ``residual`` of the direction to ``points`` comes from.
 
@@ -289,23 +262,24 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     ops (a value it derives from a tensor's ``data`` outside an op would not
     be recomputed).  ``inputs`` must not be empty.
 
-    ``max_coords`` (at least 1) caps the verified probes per input: the
-    row-major flat indices of its coordinates are shuffled by
-    ``rng.permutation`` (``rng`` seeded to 0 when omitted) and probed in
-    batches.  A batch takes the next coordinates in that order, no more
-    than are still to verify and than keep the leaf's points and each value
-    the cone recomputes within ``_TILE_BYTES`` (at least one), so a probe
-    the kink guard skips is replaced by a later batch, attempting at most
-    ``max(6 * max_coords, max_coords + 12)``: the coordinates attempted are
-    those of probing one at a time.
+    ``max_coords`` (at least 1) caps the verified probes per entry.  Without
+    ``directional`` each input is an entry whose probes are its coordinates:
+    their row-major flat indices, shuffled by ``rng.permutation`` (``rng``
+    seeded to 0 when omitted) unless ``max_coords`` is omitted.  With
+    ``directional`` the report has one entry: directions over all inputs
+    together, each input's part drawn in order from ``rng.standard_normal``
+    and divided by ``max(1, |g|)`` of its analytic gradient; ``max_coords``
+    (1 when omitted) counts directions.
 
-    With ``directional`` the report has one entry: directions over all
-    inputs together, one per evaluation, each input's part drawn in order
-    from ``rng.standard_normal`` and divided by ``max(1, |g|)`` of its
-    analytic gradient; ``max_coords`` (1 when omitted) counts directions,
-    and a direction the kink guard skips is replaced within the same
-    budget.  The first direction that fails ends the check and is localised
-    to one input by bisection, at most ``ceil(log2 n)`` more evaluations.
+    A batch takes the next probes, no more than are still to verify and
+    than keep the entry's points and each value the cone recomputes within
+    ``_TILE_BYTES`` (at least one).  A probe the kink guard skips is
+    replaced by a later batch, attempting at most ``max(6 * max_coords,
+    max_coords + 12)`` probes, and no more than an input's size.  A batch
+    with an error above ``TOL`` ends its entry, so the probes attempted are
+    those of probing one at a time, up to the end of the first failing
+    batch.  A failed entry's worst direction is localised to one input by
+    bisection, at most ``ceil(log2 n)`` more evaluations.
     """
     if not inputs:
         raise ContractError("grad_check needs at least one input")
@@ -337,35 +311,42 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
     for name, group, calls in zip(names, groups, _cones(tape.calls, groups)):
         cone, end = _compile(calls, group, out)
         analytic = [np.zeros(leaf.dims) if leaf.grad is None else leaf.grad for leaf in group]
-        target = max_coords or (1 if directional else group[0].data.size)
+        size = sum(leaf.data.size for leaf in group)
+        target = max_coords or (1 if directional else size)
         budget = max(6 * target, target + 12)
         if directional:
-            directions = _directions(group, analytic, rng)
+            scales = [H / max(1.0, math.sqrt(float(np.vdot(g, g)))) for g in analytic]
         else:
-            size = group[0].data.size
             order = np.arange(size) if max_coords is None else rng.permutation(size)
-            # probes per batch: each adds a complex128 copy of the leaf and of
-            # every value the cone recomputes, the largest bounded by _TILE_BYTES
-            step = _tile(size, 16 * max([size] + [result.data.size for _, result, _ in calls]))
-        probed = 0
-        skipped = 0
+            target, budget = min(target, size), min(budget, size)
+        # probes per batch: each adds a complex128 copy of the leaves and of
+        # every value the cone recomputes, the largest bounded by _TILE_BYTES
+        step = _tile(target, 16 * max([size] + [result.data.size for _, result, _ in calls]))
+        buffers = [np.empty((step,) + leaf.dims, np.complex128) for leaf in group]
+        for buffer, leaf in zip(buffers, group):
+            buffer[...] = leaf.data
+        probed = skipped = 0
         worst = 0.0
         worst_at = residual = None
         # batches of at most as many probes as are still to verify replace the
-        # ones the kink guard skips, within a bounded budget; a failed direction
-        # ends the check, localised while its points are drawn
-        while probed < target and probed + skipped < budget and not (directional and worst > TOL):
+        # ones the kink guard skips, within the budget; a failed batch ends the entry
+        while probed < target and probed + skipped < budget and worst <= TOL:
+            attempted = probed + skipped
+            count = min(target - probed, budget - attempted, step)
+            points = [buffer[:count] for buffer in buffers]
             if directional:
-                points, slope = next(directions)
-                results = zip([slope], _derivative(cone, end, points), [points])
+                for probe in range(count):
+                    for point, leaf, scale in zip(points, group, scales):
+                        point[probe].imag = rng.standard_normal(leaf.dims) * scale
+                at = range(count)
+                slopes = [_slope(analytic, [point[probe] for point in points]) for probe in at]
             else:
-                attempted = probed + skipped
-                at = order[attempted:attempted + min(target - probed, budget - attempted, step)]
-                if not at.size:
-                    break
-                derivatives = _derivative(cone, end, [_coordinates(group[0], at)])
-                results = zip(analytic[0].flat[at].tolist(), derivatives, at.tolist())
-            for slope, numeric, at in results:
+                at = order[attempted:attempted + count]
+                flat = points[0].reshape(count, -1).imag
+                flat[...] = 0.0
+                flat[np.arange(count), at] = H
+                slopes, at = analytic[0].flat[at].tolist(), at.tolist()
+            for slope, numeric, at in zip(slopes, _derivative(cone, end, points), at):
                 if numeric is None:
                     skipped += 1
                     continue
@@ -374,8 +355,9 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
                 if err > worst:
                     worst, worst_at, residual = err, at, slope - numeric
         coord = who = None
-        if directional and worst > TOL:
-            who = labels[_localise(cone, end, group, analytic, worst_at, residual)]
+        if directional and worst > TOL:  # the failed batch's points are still in the buffers
+            points = [buffer[worst_at:worst_at + 1] for buffer in buffers]
+            who = labels[_localise(cone, end, group, analytic, points, residual)]
         elif not directional and worst_at is not None:
             coord, who = tuple(map(int, np.unravel_index(worst_at, group[0].dims))), name
         entries.append(GradCheckEntry(name, probed, skipped, worst, coord, who))

@@ -250,6 +250,24 @@ def test_directional_kink_guard_draws_replacements_within_budget():
     assert report.unprobed == ["x..y"]
 
 
+def test_joint_directions_share_one_evaluation(monkeypatch):
+    """Three directions over small inputs are one batch, and read as three batches of one."""
+    r = rng(36)
+    inputs = {f"x{k}": r.standard_normal((1, 1, 2, 2)) for k in range(4)}
+
+    def check():
+        return gradcheck.grad_check(_ring, inputs, rng=rng(37), max_coords=3, directional=True)
+
+    evaluations = _evaluations(monkeypatch)
+    [entry] = check().entries
+    assert [len(values) for values in evaluations] == [3]
+    assert (entry.label, entry.probed, entry.skipped) == ("x0..x3", 3, 0)
+    assert 0 < entry.max_rel_err <= gradcheck.TOL
+    evaluations.clear()
+    monkeypatch.setattr(gradcheck, "_tile", lambda count, unit_bytes: 1)
+    assert check().entries == [entry]
+    assert [len(values) for values in evaluations] == [1, 1, 1]
+
 def test_unused_input_has_zero_gradient():
     # backward never reaches y, so its analytic gradient reads as zero
     report = grad_check(lambda x, y: en.sum_all(x),
@@ -358,6 +376,21 @@ def test_corrupted_backward_is_detected(monkeypatch):
     assert report.max_rel_err > 1e-2
     worst = max(report.entries, key=lambda e: e.max_rel_err)
     assert worst.label == "a"
+
+
+def test_a_failed_batch_ends_its_input(monkeypatch):
+    """With batches of one, a's first probe fails and ends a's entry; b's probes all run."""
+    r = rng(4)
+    original = BACKWARD["mul"]
+    monkeypatch.setitem(BACKWARD, "mul", lambda rec, g: (original(rec, g)[0] * 1.5,
+                                                          original(rec, g)[1]))
+    monkeypatch.setattr(gradcheck, "_tile", lambda count, unit_bytes: 1)
+    report = grad_check(
+        lambda a, b: en.sum_all(en.mul(a, b)),
+        {"a": r.standard_normal((1, 1, 2, 2)), "b": r.standard_normal((1, 1, 2, 2))},
+    )
+    assert [(e.label, e.probed, e.skipped) for e in report.entries] == [("a", 1, 0), ("b", 4, 0)]
+    assert report.entries[0].max_rel_err > 1e-2 and not report.ok
 
 
 def test_nan_gradient_fails(monkeypatch):
