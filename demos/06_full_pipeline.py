@@ -19,11 +19,10 @@ def main():
                      pyramid_width=8, reduction=4)
     image = en.noise_image(4, 128, 128)
 
-    timings = {}
-    result = net.forward(image, timings=timings)
+    result = net.forward(image)
 
     print("stage timings (seconds):")
-    for stage, seconds in timings.items():
+    for stage, seconds in result.times.items():
         print(f"  {stage:<10} {seconds:.4f}")
 
     print()

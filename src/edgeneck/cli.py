@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -69,12 +70,7 @@ def _build_parser():
 
 def _load_cfg(args):
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {"seed": getattr(args, "seed", None)}
-    if hasattr(args, "fa_mode"):
-        overrides["fa_mode"] = args.fa_mode
-    if getattr(args, "dump_dir", None):
-        overrides["dump_dir"] = args.dump_dir
-    return cfg.override(**overrides)
+    return cfg.override(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
 def _build_network(cfg):
@@ -120,9 +116,8 @@ def cmd_forward(args):
         entries, _ = split_entries(read_container(args.weights))
         load_into_parameters(net.parameter_map(), entries)
     image = _load_input(cfg)
-    timings = {} if args.timings else None
-    result = net.forward(image, timings=timings)
-    report = build_report(cfg, result.named, timings)
+    result = net.forward(image)
+    report = build_report(cfg, result.named, result.times if args.timings else None)
     sys.stdout.write(report)
     if cfg.dump_dir:
         os.makedirs(cfg.dump_dir, exist_ok=True)
@@ -191,10 +186,7 @@ def main(argv=None):
     except (ConfigError, UsageError, DomainError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

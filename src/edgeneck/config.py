@@ -9,6 +9,7 @@ from .errors import ConfigError
 from .tensor import DTYPE_NAMES
 
 DTYPES = {name: dtype for dtype, name in DTYPE_NAMES.items()}
+_CHOICES = {"fa_mode": MODES, "dtype": tuple(DTYPES)}
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class RunConfig:
         return DTYPES[self.dtype]
 
     def override(self, **updates):
-        updates = {k: v for k, v in updates.items() if v is not None}
+        """A copy with ``updates`` applied; a None or empty value leaves its field as it is."""
+        updates = {k: v for k, v in updates.items() if v is not None and v != ""}
         return replace(self, **updates) if updates else self
 
 
@@ -81,19 +83,11 @@ def _parse_value(key, raw):
         if len(parts) != 5:
             raise ConfigError(f"channels must list 5 counts, got {raw!r}")
         return tuple(_parse_int("channels", p, minimum=1) for p in parts)
-    if key == "pyramid_width":
+    if key in ("pyramid_width", "reduction_ratio"):
         return _parse_int(key, raw, minimum=1)
-    if key == "fa_mode":
-        if raw not in MODES:
-            raise ConfigError(f"fa_mode must be one of {MODES}, got {raw!r}")
-        return raw
-    if key == "reduction_ratio":
-        return _parse_int(key, raw, minimum=1)
-    if key == "dtype":
-        if raw not in DTYPES:
-            raise ConfigError(f"dtype must be one of {tuple(DTYPES)}, got {raw!r}")
-        return raw
-    return raw  # dump_dir: any path; parse_config has refused unknown keys
+    if key in _CHOICES and raw not in _CHOICES[key]:
+        raise ConfigError(f"{key} must be one of {_CHOICES[key]}, got {raw!r}")
+    return raw  # fa_mode, dtype, or dump_dir (any path); parse_config has refused unknown keys
 
 
 def parse_config(text, source="<config>"):

@@ -122,13 +122,19 @@ class GradCheckReport:
     def ok(self):
         return self.max_rel_err <= self.tol and not self.unprobed
 
+    @property
+    def verdict(self):
+        return "ok" if self.ok else "FAILED"
+
+    @property
+    def totals(self):
+        """The whole check's statistics, as its ``total:`` line and a check line print them."""
+        return (f"probed={self.probed} skipped={self.skipped} "
+                f"max_rel_err={self.max_rel_err:.3e} tol={self.tol:.1e}")
+
     def format(self):
         lines = [e.format() for e in self.entries]
-        verdict = "ok" if self.ok else "FAILED"
-        lines.append(
-            f"total: probed={self.probed} skipped={self.skipped} "
-            f"max_rel_err={self.max_rel_err:.3e} tol={self.tol:.1e} [{verdict}]"
-        )
+        lines.append(f"total: {self.totals} [{self.verdict}]")
         return "\n".join(lines)
 
 

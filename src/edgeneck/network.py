@@ -6,7 +6,7 @@ in one ``Params`` store on one seeded stream, so the same seed always
 yields the same model, and creation order is the order of the draws, of
 ``parameters()`` and of a weights dump.  The forward pass returns every
 intermediate under a stable name (``feat.s4`` .. ``out.s64``) for
-reports, dumps and tests.
+reports, dumps and tests, and the wall time of each of its ``STAGES``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .layers import Params
 from .pyramid import TopDownPyramid
 from .receptive_field import WideFieldBlock
 from .tensor import MIXED_DTYPES, Tensor
+
+STAGES = ("backbone", "edge", "aggregate", "wide", "pyramid")
 
 
 def params_rng(seed):
@@ -62,6 +64,7 @@ class _Outputs(tuple):
 class ForwardResult:
     outputs: _Outputs
     named: dict
+    times: dict  # stage -> seconds, in ``STAGES`` order
 
 
 class Network:
@@ -98,7 +101,8 @@ class Network:
         for p in self.params.values():
             p.zero_grad()
 
-    def forward(self, image, timings=None):
+    def forward(self, image):
+        """Run the pipeline on ``image``: every named intermediate, and each stage's wall time."""
         # a float64 network also takes the complex128 image of a gradient check's probe
         if image.dtype != self.dtype and (self.dtype, image.dtype) not in MIXED_DTYPES:
             raise ContractError(
@@ -110,41 +114,27 @@ class Network:
             raise DomainError(
                 f"input pixel (n, c, y, x) = {index} is {image.data[index]}; pixels must be finite"
             )
-        stopwatch = _Stopwatch(timings)
+        stamps = [time.perf_counter()]
         feats = self.backbone(image)
-        stopwatch.lap("backbone")
+        stamps.append(time.perf_counter())
         named = {f"feat.s{stride}": t for stride, t in feats.items()}
 
         f1t, f2t = self.edge(feats[4], feats[8])
-        stopwatch.lap("edge")
+        stamps.append(time.perf_counter())
         named["edged.s4"] = f1t
         named["edged.s8"] = f2t
 
         agg = aggregate({**feats, 4: f1t, 8: f2t}, self.fa_mode)
-        stopwatch.lap("aggregate")
+        stamps.append(time.perf_counter())
         named.update((f"agg.s{stride}", t) for stride, t in agg.items())
 
         refined = dict(agg)  # the coarsest level passes through
         for stride, block in self.wide.items():
             refined[stride] = named[f"wide.s{stride}"] = block(agg[stride])
-        stopwatch.lap("wide")
+        stamps.append(time.perf_counter())
 
         outs = self.pyramid(refined)
-        stopwatch.lap("pyramid")
+        stamps.append(time.perf_counter())
         named.update((f"out.s{stride}", t) for stride, t in outs.items())
-        return ForwardResult(_Outputs(map(_Output._make, outs.items())), named)
-
-
-class _Stopwatch:
-    """Fills a stage -> seconds dict when given one; no-op otherwise."""
-
-    def __init__(self, sink):
-        self.sink = sink
-        self.last = time.perf_counter() if sink is not None else 0.0
-
-    def lap(self, label):
-        if self.sink is None:
-            return
-        now = time.perf_counter()
-        self.sink[label] = now - self.last
-        self.last = now
+        times = {stage: end - start for stage, start, end in zip(STAGES, stamps, stamps[1:])}
+        return ForwardResult(_Outputs(map(_Output._make, outs.items())), named, times)

@@ -7,6 +7,8 @@ can be parsed back and compared against a recomputation.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .errors import ContractError
@@ -33,23 +35,22 @@ def tensor_stats(arr):
     }
 
 
-def build_report(config, named, timings=None):
-    """Render config echo plus per-tensor statistics as report lines."""
-    lines = [f"config.input={config.input}"]
-    lines.append(f"config.seed={config.seed}")
-    lines.append("config.channels=" + ",".join(str(c) for c in config.channels))
-    lines.append(f"config.pyramid_width={config.pyramid_width}")
-    lines.append(f"config.fa_mode={config.fa_mode}")
-    lines.append(f"config.reduction_ratio={config.reduction_ratio}")
-    lines.append(f"config.dtype={config.dtype}")
+def build_report(config, named, times=None):
+    """Render config echo plus per-tensor statistics, then any stage times, as report lines."""
+    lines = []
+    for field in fields(config):
+        if field.name == "dump_dir":  # where a run writes does not change what it computes
+            continue
+        value = getattr(config, field.name)
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        lines.append(f"config.{field.name}={text}")
     for name, tensor in named.items():
         dims = "x".join(str(d) for d in tensor.dims)
         lines.append(f"shape.{name}={dims}")
         for stat, value in tensor_stats(tensor.data).items():
             lines.append(f"stats.{name}.{stat}={value!r}")
-    if timings:
-        for label, seconds in timings.items():
-            lines.append(f"time.{label}={seconds:.6f}")
+    for stage, seconds in (times or {}).items():
+        lines.append(f"time.{stage}={seconds:.6f}")
     return "\n".join(lines) + "\n"
 
 

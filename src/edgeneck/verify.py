@@ -190,11 +190,8 @@ def run_checks(checks, emit=None):
     all_ok = True
     for label, thunk in checks:
         report = thunk()
-        status = "ok" if report.ok else "FAILED"
         all_ok = all_ok and report.ok
         if emit:
             unprobed = f" unprobed={','.join(report.unprobed)}" if report.unprobed else ""
-            emit(f"{label}: {status} probed={report.probed} skipped={report.skipped} "
-                 f"max_rel_err={report.max_rel_err:.3e} tol={report.tol:.1e}{unprobed}"
-                 f"{_worst(report)}")
+            emit(f"{label}: {report.verdict} {report.totals}{unprobed}{_worst(report)}")
     return all_ok

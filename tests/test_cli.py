@@ -8,6 +8,7 @@ import pytest
 from edgeneck import BACKWARD, Network, verify
 from edgeneck.errors import ContractError
 from edgeneck.netpbm import read_image, write_image
+from edgeneck.network import STAGES
 from edgeneck.report import parse_report, tensor_stats
 from edgeneck.weights import MAGIC, VERSION, pack_entries, read_container, unpack_entries
 
@@ -137,6 +138,20 @@ class TestForward:
             for stat, value in tensor_stats(arr).items():
                 assert float(parsed[f"stats.{name}.{stat}"]) == value
 
+    def test_dump_dir_does_not_change_the_report(self, run_cli, small_cfg, tmp_path):
+        _, plain, _ = run_cli("forward", "--config", small_cfg)
+        code, dumped, err = run_cli("forward", "--config", small_cfg, "--dump-dir", tmp_path)
+        assert code == 0, err
+        assert dumped == plain
+        assert (tmp_path / "report.txt").read_text() == plain
+
+    def test_empty_dump_dir_keeps_the_configs(self, run_cli, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG + f"dump_dir = {tmp_path / 'from_cfg'}\n")
+        code, out, err = run_cli("forward", "--config", cfg, "--dump-dir", "")
+        assert code == 0, err
+        assert (tmp_path / "from_cfg" / "report.txt").read_text() == out
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_stats_equal_those_of_an_f64_copy(self, dtype):
         arr = (np.random.default_rng(9).standard_normal((1, 64, 16, 16)) + 3).astype(dtype)
@@ -161,9 +176,11 @@ class TestForward:
         _, plain, _ = run_cli("forward", "--config", small_cfg)
         _, timed, _ = run_cli("forward", "--config", small_cfg, "--timings")
         assert not [ln for ln in plain.splitlines() if ln.startswith("time.")]
-        timed_lines = [ln for ln in timed.splitlines() if ln.startswith("time.")]
-        assert {ln.split("=")[0] for ln in timed_lines} == \
-            {"time.backbone", "time.edge", "time.aggregate", "time.wide", "time.pyramid"}
+        lines = timed.splitlines()
+        last_stats = max(i for i, ln in enumerate(lines) if ln.startswith("stats."))
+        assert lines[:last_stats + 1] == plain.splitlines()
+        assert [ln.split("=")[0] for ln in lines[last_stats + 1:]] == \
+            [f"time.{stage}" for stage in STAGES]
 
     def test_unknown_config_key_exits_2(self, run_cli, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -9,6 +9,7 @@ import pytest
 import edgeneck as en
 import edgeneck.tensor as tensor_core
 from edgeneck.errors import ContractError, DomainError
+from edgeneck.network import STAGES
 
 from reference import gamma
 
@@ -149,12 +150,10 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"\(0, 1, 5, 7\)"):
             net.forward(en.Tensor(data))
 
-    def test_timings_filled_when_requested(self):
-        net = en.Network(seed=0, **SMALL)
-        laps = {}
-        net.forward(en.noise_image(0, 64, 64), timings=laps)
-        assert set(laps) == {"backbone", "edge", "aggregate", "wide", "pyramid"}
-        assert all(v >= 0 for v in laps.values())
+    def test_stage_times_follow_stages(self):
+        times = en.Network(seed=0, **SMALL).forward(en.noise_image(0, 64, 64)).times
+        assert tuple(times) == STAGES == ("backbone", "edge", "aggregate", "wide", "pyramid")
+        assert all(v >= 0 for v in times.values())
 
 
 def test_network_allocates_no_gradients():
