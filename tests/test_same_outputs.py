@@ -31,7 +31,7 @@ def trees(tmp_path_factory):
     text = report.read_text()
     l2 = "float(np.sqrt(np.sum(data)))"
     assert text.count(l2) == 1
-    report.write_text(text.replace(l2, f"float(np.nextafter({l2[6:-1]}, np.inf))"))
+    report.write_text(text.replace(l2, "float(np.nextafter(np.sqrt(np.sum(data)), np.inf))"))
     return paths
 
 
