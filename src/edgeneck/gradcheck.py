@@ -16,7 +16,10 @@ positional and keyword arguments and the elements of a list argument
 (``concat_channels``).  A cone is compiled once, with slot ``k`` for leaf
 ``k`` and the argument positions that hold a cone tensor; an evaluation
 fills only those, and every other argument is the base forward's own
-tensor.  That equals re-running the target because of two rules of the
+tensor.  A call of a branching op also takes its base record's ``branch``
+entry, so a probe differentiates the branch that backward differentiates,
+ties included.  That equals re-running the target with each branching op
+held to the base forward's decision, because of two rules of the
 contract: no block picks its op calls by data values, and a target
 computes only through ops.
 
@@ -47,16 +50,9 @@ a zero imaginary part) gives that half's residual from the same compiled
 cone, the other half's is the difference, and the half with the larger
 magnitude is kept, at most ``ceil(log2 n)`` evaluations for ``n`` inputs.
 
-Ops order complex values by real part first, so a probe keeps the base
-forward's branch except at an exact real tie (relu at 0, tied pooling
-candidates, ``edge_magnitude`` at ``(0, 0)``), where the imaginary part
-picks one.  So each recomputed call's ``branch`` entry is compared, probe
-by probe, with the base forward's record of that call, calls on a tape the
-target opens itself included, and a probe with a differing entry is
-skipped and counted; the other probes of its batch stand.  An
-input left with no verified probe fails the check: nothing was measured
-about its gradient.  A probe whose analytic or numeric derivative is not
-finite scores an infinite error, so a NaN gradient fails too.
+An input left with no verified probe fails the check: nothing was
+measured about its gradient.  A probe whose analytic or numeric derivative
+is not finite scores an infinite error, so a NaN gradient fails too.
 """
 
 from __future__ import annotations
@@ -67,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .tensor import Tensor, Tape, _tensor, _tile, backward
+from .tensor import _TAPE_STACK, Tensor, Tape, _tensor, _tile, backward
 
 H = 1e-30
 TOL = 1e-10
@@ -77,7 +73,7 @@ TOL = 1e-10
 class GradCheckEntry:
     """One probed input's outcome, or a joint direction's: probe counts and the worst error.
 
-    A joint direction's ``label`` spans its inputs, ``first..last``.
+    A joint direction's ``label`` spans its inputs, ``first..last``.  ``skipped`` is always 0.
     ``worst_input`` names the input of the worst error: the entry's own, or
     the one a failed direction's error was localised to.  ``worst_coord`` is
     the coordinate of an input's worst probe (``None`` for a direction).
@@ -173,15 +169,17 @@ def _compile(calls, leaves, out):
 
     Slot ``k`` is leaf ``k`` and slot ``len(leaves) + k`` the output of
     call ``k``; the slot of ``out`` is ``None`` when the cone misses it.
-    Each compiled call is ``(op, args, kwargs, subs, branch)``: private
-    copies of its arguments (a list argument copied too), the ``(container,
-    key, slot)`` positions in them that hold a cone tensor, and the base
-    forward's ``branch`` entry or ``None``.
+    Each compiled call is ``(op, args, kwargs, subs)``: private copies of
+    its arguments (a list argument copied too), with the base record's
+    ``branch`` entry as ``branch=`` when it has one, and the ``(container,
+    key, slot)`` positions in them that hold a cone tensor.
     """
     slots = {id(leaf): k for k, leaf in enumerate(leaves)}
     cone = []
     for (op, args, kwargs), result, rec in calls:
         args, kwargs = list(args), dict(kwargs)
+        if rec is not None and "branch" in rec.saved:
+            kwargs["branch"] = rec.saved["branch"]
         subs = []
         for box, keys in ((args, range(len(args))), (kwargs, list(kwargs))):
             for key in keys:
@@ -192,7 +190,7 @@ def _compile(calls, leaves, out):
                 elif id(arg) in slots:
                     subs.append((box, key, slots[id(arg)]))
         slots[id(result)] = len(leaves) + len(cone)
-        cone.append((op, args, kwargs, subs, None if rec is None else rec.saved.get("branch")))
+        cone.append((op, args, kwargs, subs))
     return cone, slots.get(id(out))
 
 
@@ -201,29 +199,23 @@ def _derivative(cone, end, points):
 
     ``points`` holds one ``(P, *dims)`` array per compiled leaf, in slot
     order: probe ``p`` is every leaf's ``[p]``, and the ops carry the P
-    probes along that leading axis, on a tape of their own.  ``end`` is
-    the slot of ``out`` (``None``: the cone misses it, whose imaginary part
-    is then 0).  A probe reads ``None`` where a recomputed call's
-    ``branch`` entry differs from the base forward's: it sits on a kink.
+    probes along that leading axis.  ``end`` is the slot of ``out``
+    (``None``: the cone misses it, whose imaginary part is then 0).  The
+    cone runs with every active tape set aside, so no call records.
     """
-    count = len(points[0])
-    kept = np.ones(count, bool)
-    values = [_tensor(point, True) for point in points]
-    with Tape() as tape:
-        for op, args, kwargs, subs, branch in cone:
+    values = [_tensor(point, False) for point in points]
+    outer = _TAPE_STACK[:]
+    _TAPE_STACK.clear()
+    try:
+        for op, args, kwargs, subs in cone:
             for box, key, slot in subs:
                 box[key] = values[slot]
             values.append(op(*args, **kwargs))
-            if branch is not None:
-                got = tape.records[-1].saved["branch"]
-                if got.shape[1:] != branch.shape:
-                    kept[:] = False
-                else:
-                    kept &= (got == branch).reshape(count, -1).all(axis=1)
-                if not kept.any():
-                    return [None] * count
-    numeric = [0.0] * count if end is None else (values[end].data.imag.reshape(count) / H).tolist()
-    return [value if ok else None for value, ok in zip(numeric, kept)]
+    finally:
+        _TAPE_STACK[:] = outer
+    if end is None:
+        return [0.0] * len(points[0])
+    return (values[end].data.imag.reshape(-1) / H).tolist()
 
 
 def _slope(analytic, points):
@@ -234,8 +226,7 @@ def _slope(analytic, points):
 def _localise(cone, end, leaves, analytic, points, residual):
     """Index of the leaf that the signed ``residual`` of the direction to ``points`` comes from.
 
-    A tie keeps the first half and a non-finite residual counts as the
-    larger; a halving the kink guard skips ends at the first leaf left.
+    A tie keeps the first half and a non-finite residual counts as the larger.
     """
     lo, hi = 0, len(leaves)
     while hi - lo > 1:
@@ -243,8 +234,6 @@ def _localise(cone, end, leaves, analytic, points, residual):
         [numeric] = _derivative(cone, end, [
             point if lo <= k < mid else leaf.data.astype(np.complex128)[None]
             for k, (leaf, point) in enumerate(zip(leaves, points))])
-        if numeric is None:
-            break
         first = _slope(analytic[lo:mid], points[lo:mid]) - numeric
         second = residual - first
         if math.isfinite(first) and not abs(second) <= abs(first):
@@ -279,13 +268,11 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
 
     A batch takes the next probes, no more than are still to verify and
     than keep the entry's points and each value the cone recomputes within
-    ``_TILE_BYTES`` (at least one).  A probe the kink guard skips is
-    replaced by a later batch, attempting at most ``max(6 * max_coords,
-    max_coords + 12)`` probes, and no more than an input's size.  A batch
-    with an error above ``TOL`` ends its entry, so the probes attempted are
-    those of probing one at a time, up to the end of the first failing
-    batch.  A failed entry's worst direction is localised to one input by
-    bisection, at most ``ceil(log2 n)`` more evaluations.
+    ``_TILE_BYTES`` (at least one).  A batch with an error above ``TOL``
+    ends its entry, so the probes counted are those of probing one at a
+    time, up to the end of the first failing batch.  A failed entry's worst
+    direction is localised to one input by bisection, at most ``ceil(log2
+    n)`` more evaluations.
     """
     if not inputs:
         raise ContractError("grad_check needs at least one input")
@@ -319,26 +306,22 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
         analytic = [np.zeros(leaf.dims) if leaf.grad is None else leaf.grad for leaf in group]
         size = sum(leaf.data.size for leaf in group)
         target = max_coords or (1 if directional else size)
-        budget = max(6 * target, target + 12)
         if directional:
             scales = [H / max(1.0, math.sqrt(float(np.vdot(g, g)))) for g in analytic]
         else:
             order = np.arange(size) if max_coords is None else rng.permutation(size)
-            target, budget = min(target, size), min(budget, size)
+            target = min(target, size)
         # probes per batch: each adds a complex128 copy of the leaves and of
         # every value the cone recomputes, the largest bounded by _TILE_BYTES
         step = _tile(target, 16 * max([size] + [result.data.size for _, result, _ in calls]))
         buffers = [np.empty((step,) + leaf.dims, np.complex128) for leaf in group]
         for buffer, leaf in zip(buffers, group):
             buffer[...] = leaf.data
-        probed = skipped = 0
+        probed = 0
         worst = 0.0
         worst_at = residual = None
-        # batches of at most as many probes as are still to verify replace the
-        # ones the kink guard skips, within the budget; a failed batch ends the entry
-        while probed < target and probed + skipped < budget and worst <= TOL:
-            attempted = probed + skipped
-            count = min(target - probed, budget - attempted, step)
+        while probed < target and worst <= TOL:  # a failed batch ends the entry
+            count = min(target - probed, step)
             points = [buffer[:count] for buffer in buffers]
             if directional:
                 for probe in range(count):
@@ -347,24 +330,21 @@ def grad_check(fn, inputs, rng=None, max_coords=None, directional=False):
                 at = range(count)
                 slopes = [_slope(analytic, [point[probe] for point in points]) for probe in at]
             else:
-                at = order[attempted:attempted + count]
+                at = order[probed:probed + count]
                 flat = points[0].reshape(count, -1).imag
                 flat[...] = 0.0
                 flat[np.arange(count), at] = H
                 slopes, at = analytic[0].flat[at].tolist(), at.tolist()
             for slope, numeric, at in zip(slopes, _derivative(cone, end, points), at):
-                if numeric is None:
-                    skipped += 1
-                    continue
                 err = _rel_err(slope, numeric)
-                probed += 1
                 if err > worst:
                     worst, worst_at, residual = err, at, slope - numeric
+            probed += count
         coord = who = None
         if directional and worst > TOL:  # the failed batch's points are still in the buffers
             points = [buffer[worst_at:worst_at + 1] for buffer in buffers]
             who = labels[_localise(cone, end, group, analytic, points, residual)]
         elif not directional and worst_at is not None:
             coord, who = tuple(map(int, np.unravel_index(worst_at, group[0].dims))), name
-        entries.append(GradCheckEntry(name, probed, skipped, worst, coord, who))
+        entries.append(GradCheckEntry(name, probed, 0, worst, coord, who))
     return GradCheckReport(entries, TOL)

@@ -137,8 +137,8 @@ class TapeRecord:
     """One recorded op: op name, input refs, output ref, saved intermediates.
 
     An op that takes a branch (a relu mask, a pool arg-max) saves that
-    decision under ``"branch"``; its backward rule reads it from there,
-    and the gradient checker compares it with a probe's recomputation.
+    decision under ``"branch"``; its backward rule reads it from there, and
+    a gradient-check probe hands it back to the op, as ``branch=``, to apply.
     """
 
     op: str
@@ -542,9 +542,11 @@ def _mul_backward(rec, grad_out):
 
 
 @_listed
-def relu(x):
+def relu(x, branch=None):
     xd = x.data
     zero = xd.dtype.type(0)
+    if branch is not None:
+        return _record("relu", (x,), np.where(branch, xd, zero), branch=lambda: branch)
     # bit-equal to where(x > 0, x, 0) without its data-dependent branch:
     # fmax sends NaN to 0, and adding +0 turns a -0 that fmax may keep into +0
     out = np.fmax(xd, zero)
@@ -572,15 +574,12 @@ def _sigmoid_backward(rec, grad_out):
 
 
 @_listed
-def edge_magnitude(gx, gy):
+def edge_magnitude(gx, gy, branch=None):
     """Pointwise sqrt(gx^2 + gy^2) with a zero gradient at exactly (0, 0).
 
     A fused op: composing sqrt, add and square would send an infinite
     factor through the chain where both inputs vanish, while the magnitude
-    itself has a well-defined (sub)gradient of zero there.  The branch is
-    ``|mag| > 0``: a complex-step probe at a real (0, 0) reads a magnitude
-    of ``±i c``, whose sign the principal square root picks from the sign
-    of a zero, so ``mag > 0`` would keep the base branch for ``-i c``.
+    itself has a well-defined (sub)gradient of zero there.
     """
     _same_dtype(gx, gy)
     if gx.dims != gy.dims:
@@ -588,7 +587,9 @@ def edge_magnitude(gx, gy):
             raise ContractError(f"edge_magnitude dims differ: {gx.dims} vs {gy.dims}")
         _lead(gx.data, gy.data)
     mag = np.sqrt(gx.data * gx.data + gy.data * gy.data)
-    return _record("edge_magnitude", (gx, gy), mag, branch=lambda: np.abs(mag) > 0)
+    if branch is not None:
+        return _record("edge_magnitude", (gx, gy), np.where(branch, mag, 0), branch=lambda: branch)
+    return _record("edge_magnitude", (gx, gy), mag, branch=lambda: mag > 0)
 
 
 def _edge_magnitude_backward(rec, grad_out):
@@ -622,11 +623,12 @@ def global_avg_pool(x):
 
 
 @_listed
-def global_max_pool(x):
+def global_max_pool(x, branch=None):
     """Maximum over all H*W positions per sample and channel, to N x C x 1 x 1."""
     flat = _spatial_flat(x, "global_max_pool")
-    idx = flat.argmax(axis=-1)  # first maximal position in scan order
-    out_d = np.take_along_axis(flat, idx[..., None], axis=-1).reshape(flat.shape[:-1] + (1, 1))
+    idx = flat.argmax(axis=-1) if branch is None else branch  # first maximal in scan order
+    at = idx[(None,) * (flat.ndim - 1 - idx.ndim) + (..., None)]  # any leading axes of x broadcast
+    out_d = np.take_along_axis(flat, at, axis=-1).reshape(flat.shape[:-1] + (1, 1))
     return _record("global_max_pool", (x,), out_d, branch=lambda: idx)
 
 
@@ -652,13 +654,16 @@ def up2_nearest(x):
 
 
 @_listed
-def down2_max(x):
+def down2_max(x, branch=None):
     """Halve H and W by a 2x2, stride-2 max."""
     xd = x.data
     h, w = xd.shape[-2:]
     if h % 2 or w % 2:
         raise ShapeError(f"down2_max needs even spatial dims, got {h}x{w}")
     outer = xd.shape[:-2]
+    corners = xd[..., 0::2, 0::2], xd[..., 0::2, 1::2], xd[..., 1::2, 0::2], xd[..., 1::2, 1::2]
+    if branch is not None:
+        return _record("down2_max", (x,), np.choose(branch, corners), branch=lambda: branch)
 
     def first_maximal():  # index of the first maximal element per block, row-major
         blocks = xd.reshape(outer + (h // 2, 2, w // 2, 2)).swapaxes(-3, -2)
@@ -667,8 +672,8 @@ def down2_max(x):
     # that element's value, with no arg-max: np.maximum returns a NaN operand,
     # and its second operand on a tie, so passing the later element first keeps
     # the earlier of +0 and -0 (of two NaNs it keeps the later)
-    top = np.maximum(xd[..., 0::2, 1::2], xd[..., 0::2, 0::2])
-    bottom = np.maximum(xd[..., 1::2, 1::2], xd[..., 1::2, 0::2])
+    top = np.maximum(corners[1], corners[0])
+    bottom = np.maximum(corners[3], corners[2])
     return _record("down2_max", (x,), np.maximum(bottom, top, out=bottom),
                    branch=first_maximal)
 

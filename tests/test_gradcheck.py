@@ -1,4 +1,4 @@
-"""The complex-step checker itself: passes, failures, kink guard."""
+"""The complex-step checker itself: passes, failures, ties held to the base forward's branch."""
 
 import math
 
@@ -39,66 +39,87 @@ def test_sigmoid_chain_is_tight():
     assert report.max_rel_err < 1e-6
 
 
-def test_kink_straddling_probes_are_skipped():
-    # every input sits on the relu kink: +iH picks the other branch, nothing is probeable
-    x = np.zeros((1, 1, 2, 2))
-    report = grad_check(lambda t: en.sum_all(en.relu(t)), {"x": x})
-    entry = report.entries[0]
-    assert entry.probed == 0
-    assert entry.skipped == 4
-    assert not report.ok  # nothing measured about x's gradient
-    assert report.unprobed == ["x"]
-    assert "x: probed=0 skipped=4 max_rel_err=0.000e+00 [no verified probe]" in report.format()
+def test_probes_at_the_relu_kink_are_verified(other_convention):
+    """Every input sits on the relu kink: each probe takes the base mask, as backward does.
+
+    A rule with relu'(0) = 1 reads 1 where every probe reads 0.
+    """
+    def check():
+        return grad_check(lambda t: en.sum_all(en.relu(t)), {"x": np.zeros((1, 1, 2, 2))})
+
+    report = check()
+    assert report.ok and report.unprobed == []
+    assert "x: probed=4 skipped=0 max_rel_err=0.000e+00" in report.format()
+    other_convention("relu")
+    report = check()
+    assert not report.ok
+    assert [(e.probed, e.skipped, e.max_rel_err) for e in report.entries] == [(4, 0, 1.0)]
 
 
 @pytest.mark.parametrize("pool", [en.global_max_pool, en.down2_max], ids=lambda op: op.__name__)
-def test_pool_argmax_flip_is_guarded(pool):
-    # four tied elements: +iH on any but the first, the base arg-max, moves the arg-max there
-    x = np.ones((1, 1, 2, 2))
-    report = grad_check(lambda t: en.sum_all(pool(t)), {"x": x})
-    entry = report.entries[0]
-    assert (entry.probed, entry.skipped) == (1, 3)
-    assert report.ok  # the base arg-max's probe keeps the branch and reads its derivative, 1
-    assert entry.max_rel_err == 0.0
+def test_pool_argmax_flip_is_guarded(pool, other_convention):
+    """Four tied elements: every probe keeps the base arg-max, the first, whichever it moves.
 
-
-def test_edge_magnitude_zero_crossing_is_guarded():
-    # gx = 0 at the (0, 0) kink, gy = 0 there too but 1 beside it: a probe of either
-    # input at (0, 0) reads the magnitude iH, positive where the base one is 0
-    gy = np.array([0.0, 0.0, 1.0, 1.0]).reshape(1, 1, 2, 2)
-    report = grad_check(lambda gx, gy: en.sum_all(en.edge_magnitude(gx, gy)),
-                        {"gx": np.zeros((1, 1, 2, 2)), "gy": gy})
-    gx, gy = report.entries
-    assert (gx.probed, gx.skipped) == (2, 2)
-    assert (gy.probed, gy.skipped) == (2, 2)
-    assert report.ok  # away from the kink, d|g|/dgx = 0 and d|g|/dgy = 1 are read exactly
-    assert report.max_rel_err == 0.0
-
-
-def test_a_flat_image_sits_on_the_edge_magnitude_kink_everywhere():
-    """Sobel of a flat patch is (0, 0): every probe reads imaginary magnitudes of either sign.
-
-    A probe at the corner reads only negative ones; the guard must skip it too.
+    A rule that sends the gradient to the last of tied maxima fails.
     """
-    report = grad_check(lambda t: en.sum_all(en.edge_map(t)), {"x": np.ones((1, 1, 5, 5))})
-    assert [(e.probed, e.skipped) for e in report.entries] == [(0, 25)]
-    assert report.max_rel_err == 0.0
+    def check():
+        return grad_check(lambda t: en.sum_all(pool(t)), {"x": np.ones((1, 1, 2, 2))})
+
+    report = check()
+    assert [(e.probed, e.skipped) for e in report.entries] == [(4, 0)]
+    assert report.ok and report.max_rel_err == 0.0
+    other_convention(pool.__name__)
+    assert check().max_rel_err == 1.0
 
 
-def test_an_input_left_with_only_kinks_is_unprobed():
-    report = grad_check(lambda gx, gy: en.sum_all(en.edge_magnitude(gx, gy)),
-                        {"gx": np.zeros((1, 1, 2, 2)), "gy": np.zeros((1, 1, 2, 2))})
-    assert [(e.probed, e.skipped) for e in report.entries] == [(0, 4), (0, 4)]
+def test_edge_magnitude_zero_crossing_is_guarded(other_convention):
+    """gx = 0 everywhere and gy = 0 at two positions: a probe there keeps the magnitude at 0.
+
+    The clean rule's zero gradient at (0, 0) is read exactly, as are d|g|/dgx = 0 and
+    d|g|/dgy = 1 away from it; a rule with a unit gradient at (0, 0) fails on gx.
+    """
+    gy = np.array([0.0, 0.0, 1.0, 1.0]).reshape(1, 1, 2, 2)
+
+    def check():
+        return grad_check(lambda gx, gy: en.sum_all(en.edge_magnitude(gx, gy)),
+                          {"gx": np.zeros((1, 1, 2, 2)), "gy": gy})
+
+    report = check()
+    assert [(e.probed, e.skipped) for e in report.entries] == [(4, 0), (4, 0)]
+    assert report.ok and report.max_rel_err == 0.0
+    other_convention("edge_magnitude")
+    report = check()
+    assert [e.max_rel_err for e in report.entries] == [1.0, 0.0]
+
+
+def test_a_flat_image_sits_on_the_edge_magnitude_kink_everywhere(other_convention):
+    """Sobel of a flat patch is (0, 0): every probe is verified, and reads a zero gradient."""
+    def check():
+        return grad_check(lambda t: en.sum_all(en.edge_map(t)), {"x": np.ones((1, 1, 5, 5))})
+
+    report = check()
+    assert [(e.probed, e.skipped) for e in report.entries] == [(25, 0)]
+    assert report.ok and report.max_rel_err == 0.0
+    other_convention("edge_magnitude")
+    assert not check().ok
+
+
+def test_an_input_with_nothing_to_probe_is_unprobed():
+    """An empty input has no coordinate: the check fails rather than pass it unmeasured."""
+    report = grad_check(lambda x, y: en.add(en.sum_all(en.mul(x, x)), en.sum_all(en.mul(y, y))),
+                        {"x": np.ones((1, 1, 2, 2)), "y": np.ones((1, 0, 2, 2))})
+    assert [(e.probed, e.skipped) for e in report.entries] == [(4, 0), (0, 0)]
     assert not report.ok
-    assert report.unprobed == ["gx", "gy"]
-    assert report.max_rel_err < report.tol  # the failure is the unprobed inputs, not an error
+    assert report.unprobed == ["y"]
+    assert report.max_rel_err < report.tol  # the failure is the unprobed input, not an error
+    assert "y: probed=0 skipped=0 max_rel_err=0.000e+00 [no verified probe]" in report.format()
     lines = []
-    assert not run_checks([("op.edge", lambda: report)], emit=lines.append)
-    assert lines[0].startswith("op.edge: FAILED") and lines[0].endswith(" unprobed=gx,gy")
+    assert not run_checks([("op.empty", lambda: report)], emit=lines.append)
+    assert lines[0].startswith("op.empty: FAILED") and lines[0].endswith(" unprobed=y")
 
 
 def test_a_branch_taken_on_an_inner_tape_is_guarded(rerun_probes):
-    """The guard compares a call made on the target's own inner tape with its base record too."""
+    """A call made on the target's own inner tape takes its base record's branch too."""
     def inner_relu(x):
         with en.Tape():  # the relu's record, and its branch, go to this tape only
             r = en.relu(x)
@@ -106,9 +127,9 @@ def test_a_branch_taken_on_an_inner_tape_is_guarded(rerun_probes):
 
     x = np.array([0.0, 0.0, -1.0, 0.0]).reshape(1, 1, 2, 2)
     report = grad_check(inner_relu, {"x": x})
-    # backward on the check's tape cannot see the relu, so x's analytic gradient is 0,
-    # which the probe at -1 confirms; the three probes at the kink are skipped
-    assert [(e.probed, e.skipped) for e in report.entries] == [(1, 3)]
+    # backward on the check's tape cannot see the relu, so x's analytic gradient is 0;
+    # the probes at the kink read 0 only under the base mask, the one at -1 under any
+    assert [(e.probed, e.skipped) for e in report.entries] == [(4, 0)]
     assert report.ok
     rerun_probes()
     assert gradcheck.grad_check(inner_relu, {"x": x}).entries == report.entries
@@ -214,11 +235,11 @@ def test_a_nan_gradient_is_localised(monkeypatch):
         assert report.entries[0].worst_input == label
 
 
-def test_a_halving_on_a_kink_names_the_first_input_left(monkeypatch):
-    """y + z = 0 feeds a relu: the direction (u_y + u_z < 0) keeps its branch, y alone does not.
+def test_a_halving_through_a_relu_kink_names_the_dropped_input(monkeypatch):
+    """y + z = 0 feeds a relu: a halving that moves y alone keeps the base mask too.
 
-    z's gradient is dropped, so the first halving keeps (y, z); the second moves y
-    alone, the guard skips it, and the search ends naming y, the first input left.
+    z's gradient is dropped, so the first halving keeps (y, z) and the second
+    splits them; the search names z.
     """
     def fn(w, x, y, z):
         return en.add(en.add(en.sum_all(en.mul(w, x)), en.sum_all(en.mul(y, z))),
@@ -232,22 +253,26 @@ def test_a_halving_on_a_kink_names_the_first_input_left(monkeypatch):
     report = gradcheck.grad_check(fn, inputs, rng=rng(19), directional=True)
     assert not report.ok
     assert [(e.probed, e.skipped) for e in report.entries] == [(1, 0)]
-    assert report.entries[0].worst_input == "y"
-    assert len(evaluations) == 3 and evaluations[-1] == [None]
+    assert report.entries[0].worst_input == "z"
+    assert len(evaluations) == 1 + math.ceil(math.log2(len(inputs)))
 
 
-def test_directional_kink_guard_draws_replacements_within_budget():
-    # every coordinate of x sits on the relu kink: a direction keeps the base branch only
-    # if its part in x has no positive component, which none of the 13 drawn has
-    def fn(x, y):
-        return en.add(en.sum_all(en.relu(x)), en.sum_all(en.relu(y)))
+def test_a_direction_through_relu_kinks_is_verified(other_convention):
+    """Every coordinate of x sits on the relu kink: one direction over x and y is verified.
 
-    report = grad_check(fn, {"x": np.zeros((1, 2, 2, 2)), "y": np.ones((1, 1, 2, 2))},
-                        rng=rng(9), directional=True)
-    [entry] = report.entries
-    assert (entry.label, entry.probed, entry.skipped) == ("x..y", 0, 13)
-    assert not report.ok
-    assert report.unprobed == ["x..y"]
+    Under relu'(0) = 1 it fails, and bisection names x.
+    """
+    def check():
+        return grad_check(lambda x, y: en.add(en.sum_all(en.relu(x)), en.sum_all(en.relu(y))),
+                          {"x": np.zeros((1, 2, 2, 2)), "y": np.ones((1, 1, 2, 2))},
+                          rng=rng(9), directional=True)
+
+    report = check()
+    assert [(e.label, e.probed, e.skipped) for e in report.entries] == [("x..y", 1, 0)]
+    assert report.ok
+    other_convention("relu")
+    report = check()
+    assert not report.ok and report.entries[0].worst_input == "x"
 
 
 def test_joint_directions_share_one_evaluation(monkeypatch):
@@ -358,8 +383,11 @@ def test_directional_probe_moves_all_inputs_along_one_drawn_direction():
 
 
 def test_probes_leave_an_enclosing_tape_untouched():
+    """A probe of x meets y, which needs a gradient, and still records nothing anywhere."""
+    r = rng(8)
     with en.Tape() as outer:
-        grad_check(lambda t: en.sum_all(en.relu(t)), {"x": rng(8).standard_normal((1, 1, 2, 4))})
+        grad_check(lambda x, y: en.sum_all(en.relu(en.mul(x, y))),
+                   {"x": r.standard_normal((1, 1, 2, 4)), "y": r.standard_normal((1, 1, 2, 4))})
     assert len(outer) == 0
 
 
@@ -431,36 +459,17 @@ def test_max_coords_below_one_is_refused(max_coords, directional):
                    max_coords=max_coords, directional=directional)
 
 
-def _one_at_a_time(x, max_coords, seed):
-    """``(probed, skipped)`` of probing ``x``'s coordinates in permutation order, one by one.
-
-    A probe at an exact zero straddles the relu kink and is skipped; the walk
-    ends at ``max_coords`` verified probes or ``max(6 * max_coords,
-    max_coords + 12)`` attempted ones.
-    """
-    probed = skipped = 0
-    for i in rng(seed).permutation(x.size)[:max(6 * max_coords, max_coords + 12)]:
-        if x.flat[i] == 0:
-            skipped += 1
-        else:
-            probed += 1
-        if probed == max_coords:
-            break
-    return probed, skipped
-
-
 @pytest.mark.parametrize("zeros, max_coords", [(20, 6), (30, 2)])
-def test_kinked_probes_of_a_batch_are_replaced_in_rounds(monkeypatch, rerun_probes, zeros,
-                                                         max_coords):
-    """Some of x's probes sit on the relu kink, some do not: later batches replace the skipped ones.
+def test_probes_at_relu_zeros_share_one_batch(monkeypatch, rerun_probes, zeros, max_coords):
+    """Some or all of x's probes sit on the relu kink: one batch verifies them all.
 
-    The report equals probing one coordinate at a time, by batches of one
-    and by whole re-runs; with 30 zeros of 32 the budget of 14 attempts ends
-    the check before its second verified probe.
+    The report equals batches of one and whole re-runs of the target.
     """
     x = rng(32).choice([-1.5, -0.5, 0.5, 1.5], (1, 2, 4, 4))
     x.flat[rng(33).permutation(x.size)[:zeros]] = 0.0
     assert np.count_nonzero(x) == x.size - zeros
+    at = rng(34).permutation(x.size)[:max_coords]
+    assert np.any(x.flat[at] == 0)  # some probes sit on the kink
 
     def check():
         return gradcheck.grad_check(lambda t: en.sum_all(en.mul(en.relu(t), t)), {"x": x},
@@ -468,11 +477,9 @@ def test_kinked_probes_of_a_batch_are_replaced_in_rounds(monkeypatch, rerun_prob
 
     evaluations = _evaluations(monkeypatch)
     [entry] = check().entries
-    assert (entry.probed, entry.skipped) == _one_at_a_time(x, max_coords, 34)
+    assert (entry.probed, entry.skipped) == (max_coords, 0)
     assert entry.max_rel_err < 1e-14
-    assert len(evaluations) > 1  # a second batch replaced skipped probes
-    assert sum(map(len, evaluations)) == entry.probed + entry.skipped
-    assert entry.probed + entry.skipped <= max(6 * max_coords, max_coords + 12)
+    assert [len(values) for values in evaluations] == [max_coords]
     monkeypatch.setattr(gradcheck, "_tile", lambda count, unit_bytes: 1)
     assert check().entries == [entry]
     rerun_probes()
@@ -730,6 +737,20 @@ def test_pipeline_passes_at_seeds_1_to_20(seed):
     report = run()
     assert report.ok, report.format()
     assert report.max_rel_err < report.tol / 1000  # worst clean reading: 8.6e-15, seed 20
+
+
+@pytest.mark.parametrize("seed", [32, 766, 801])
+def test_pipeline_passes_with_relus_on_their_kink(other_convention, seed):
+    """At these seeds backbone.stage2 outputs exact zeros, so relu calls sit on their kink.
+
+    Every direction is verified; a rule with relu'(0) = 1 fails at each seed.
+    """
+    [(_, run)] = pipeline_check(seed)
+    report = run()
+    assert report.ok, report.format()
+    assert (report.probed, report.skipped) == (3, 0)
+    other_convention("relu")
+    assert not run().ok
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -725,6 +725,30 @@ def test_a_leading_axis_equals_the_stacked_4d_calls(name, stacked, kind):
             assert branch[p].tobytes() == want_branch.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["f64", "c128"])
+@pytest.mark.parametrize("name", ["relu", "edge_magnitude", "global_max_pool", "down2_max"])
+def test_a_held_branch_gives_the_plain_call(name, kind):
+    """Handed its own taped call's ``branch``, an op gives the plain call's values.
+
+    Compared by value at real inputs with exact zeros, ties and -0.  Along a
+    leading axis of three probes (complex for ``c128``), the held call gives,
+    bit for bit, what three 4-D calls given that branch give.
+    """
+    op, dims = LEADING[name]
+    r = rng(60)
+    data = [_probe_values(r, d, False) for d in dims]
+    plain = op(*[en.Tensor(a) for a in data]).data
+    _, branch = _taped(op, [en.Tensor(a, requires_grad=True) for a in data])
+    held = op(*[en.Tensor(a) for a in data], branch=branch).data
+    assert held.dtype == plain.dtype and held.shape == plain.shape
+    assert np.array_equal(held, plain)
+    probes = [np.stack([_probe_values(r, d, kind == "c128") for _ in range(3)]) for d in dims]
+    batched = op(*[tensor_core._tensor(a, False) for a in probes], branch=branch).data
+    for p in range(3):
+        want = op(*[en.Tensor(a[p]) for a in probes], branch=branch).data
+        assert batched.dtype == want.dtype and batched[p].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("op", ["add", "conv2d", "concat_channels"])
 def test_leading_axes_that_do_not_broadcast_are_refused(op):
     dims = {"add": [(1, 1, 2, 2), (1, 1, 2, 2)], "conv2d": [(1, 1, 3, 3), (2, 1, 1, 1)],

@@ -10,16 +10,17 @@ path:
 * every check of ``verify.checks_for_scope("all", seed)`` at each seed.  Per
   check it compares the verdict, the ``unprobed`` labels and, entry by entry,
   the label, ``probed``, ``skipped``, ``repr(max_rel_err)``, ``worst_coord``
-  and ``worst_input``;
+  and ``worst_input``.  It also counts the ``tensor._conv_forward`` calls
+  that these checks make, the conv kernels they compute;
 * ``edgeneck forward`` on the 12 usual configs (``CONFIGS``: the default and
   the small channel plan, f32 and f64, ``full``, ``low3`` and ``high3``, seed
   3 on 64x64 noise).  It compares the exit code and the report bytes, and for
   a differing report names the keys that differ and the largest relative
   change of a numeric value, taken against the parent's.
 
-It prints one line per differing check or config and exits 1, or one summary
-line per kind and exits 0 when everything is equal.  Weight dumps and train
-gradients are not compared.
+It prints one line per differing check or config, then one summary line per
+kind and one for the kernel counts, and exits 1 when anything differs, the
+counts included.  Weight dumps and train gradients are not compared.
 """
 
 from __future__ import annotations
@@ -42,9 +43,15 @@ CONFIGS = {f"{plan} {dtype} {mode}":
 
 OUTPUTS = """
 import contextlib, io, json, os, sys, tempfile
+import edgeneck.tensor as tensor
 from edgeneck.cli import main
 from edgeneck.verify import checks_for_scope
 configs, seeds = json.loads(sys.argv[1]), map(int, sys.argv[2:])
+convs, conv_forward = [0], tensor._conv_forward
+def counted(*args):
+    convs[0] += 1
+    return conv_forward(*args)
+tensor._conv_forward = counted
 checks = []
 for seed in seeds:
     for label, run in checks_for_scope("all", seed):
@@ -53,6 +60,7 @@ for seed in seeds:
                        "unprobed": report.unprobed,
                        "entries": [[e.label, e.probed, e.skipped, repr(e.max_rel_err),
                                     e.worst_coord, e.worst_input] for e in report.entries]})
+tensor._conv_forward = conv_forward
 forwards = {}
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "run.cfg")
@@ -63,22 +71,22 @@ with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(out):
             code = main(["forward", "--config", path])
         forwards[name] = [code, out.getvalue()]
-print(json.dumps({"checks": checks, "forwards": forwards}))
+print(json.dumps({"checks": checks, "convs": convs[0], "forwards": forwards}))
 """
 
 FIELDS = ("label", "probed", "skipped", "max_rel_err", "worst_coord", "worst_input")
 
 
 def outputs(checkout, seeds):
-    """``checkout``'s check reports at ``seeds``, keyed by ``seed S label``, and its
-    ``[exit code, report]`` per name of ``CONFIGS``."""
+    """``checkout``'s check reports at ``seeds``, keyed by ``seed S label``, the count of
+    ``_conv_forward`` calls they make, and its ``[exit code, report]`` per name of ``CONFIGS``."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout, "src").resolve()))
     proc = subprocess.run([sys.executable, "-c", OUTPUTS, json.dumps(CONFIGS), *map(str, seeds)],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"the outputs of {checkout} exited {proc.returncode}:\n{proc.stderr}")
     found = json.loads(proc.stdout)
-    return {r["check"]: r for r in found["checks"]}, found["forwards"]
+    return {r["check"]: r for r in found["checks"]}, found["convs"], found["forwards"]
 
 
 def differences(parent, change):
@@ -138,8 +146,8 @@ def main(argv=None):
     parser.add_argument("--seeds", default="1-20")
     args = parser.parse_args(argv)
     seeds = parse_seeds(args.seeds)
-    parent, parent_fwd = outputs(args.parent, seeds)
-    change, change_fwd = outputs(args.change, seeds)
+    parent, parent_convs, parent_fwd = outputs(args.parent, seeds)
+    change, change_convs, change_fwd = outputs(args.change, seeds)
     lines = differences(parent, change)
     fwd_lines = forward_differences(parent_fwd, change_fwd)
     print(f"parent: {git_head(args.parent)}\nchange: {git_head(args.change)}")
@@ -150,7 +158,10 @@ def main(argv=None):
     print(f"check reports at seeds {args.seeds}: {counts}")
     fwd_counts = f"{len(fwd_lines)} differ" if fwd_lines else f"all {len(CONFIGS)} byte-equal"
     print(f"forward reports of the {len(CONFIGS)} usual configs: {fwd_counts}")
-    return 1 if lines or fwd_lines else 0
+    conv_counts = (f"{parent_convs} parent, {change_convs} change" if parent_convs != change_convs
+                   else f"{parent_convs} on both sides")
+    print(f"_conv_forward calls over the check reports: {conv_counts}")
+    return 1 if lines or fwd_lines or parent_convs != change_convs else 0
 
 
 if __name__ == "__main__":
